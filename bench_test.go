@@ -502,6 +502,21 @@ func BenchmarkSimulatedSecond(b *testing.B) {
 	}
 }
 
+// BenchmarkNewRouter measures construction alone: everything
+// BenchmarkSimulatedSecond does before running the engine. The
+// difference between the two is the cost of one steady simulated
+// second, which is how the per-packet allocation count is kept apart
+// from the router's one-time setup.
+func BenchmarkNewRouter(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		r := kernel.NewRouter(eng, kernel.Config{Mode: kernel.ModePolled, Quota: 5})
+		gen := r.AttachGenerator(0, workload.ConstantRate{Rate: 5000, JitterFrac: 0.05}, 0)
+		gen.Start()
+	}
+}
+
 // BenchmarkSimulatedSecondProfiled is the same simulated second with the
 // cycle-attribution profiler attached: the delta against
 // BenchmarkSimulatedSecond is the profiler's enabled cost, and the

@@ -10,6 +10,12 @@
 //   - capturing closures or method values passed as the Callback to
 //     AtCall/AfterCall, which smuggle the same allocation into the
 //     pooled path;
+//   - capturing closures and bound method values passed as the work
+//     function to cpu.Task.Post, PostCenter or PostLocked: each post
+//     allocates one, and these run per packet. The allocation-free
+//     shape keeps the in-flight packet and cost in a per-loop struct
+//     and posts a method value bound once at construction, stored in a
+//     field (a field, variable or parameter is not flagged);
 //   - non-pointer-shaped values boxed into AtCall/AfterCall's any slots
 //     (storing an int or struct in an interface allocates; pointers,
 //     funcs, maps and channels do not);
@@ -25,7 +31,10 @@ import (
 	"livelock/internal/analysis"
 )
 
-const simPath = "livelock/internal/sim"
+const (
+	simPath = "livelock/internal/sim"
+	cpuPath = "livelock/internal/cpu"
+)
 
 // DefaultFmtPackages lists the import paths whose per-operation hot paths
 // are protected by AllocsPerRun gates and where fmt is therefore banned
@@ -50,7 +59,8 @@ func New(fmtPackages map[string]bool) *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "hotalloc",
 		Doc: "flag allocation sources on the event-engine hot path: closures to " +
-			"At/After, boxing in AtCall/AfterCall arguments, fmt in gated packages",
+			"At/After and Task.Post/PostCenter/PostLocked, boxing in AtCall/AfterCall " +
+			"arguments, fmt in gated packages",
 		Run: func(pass *analysis.Pass) error { return run(pass, fmtPackages) },
 	}
 }
@@ -110,6 +120,28 @@ func checkSchedule(pass *analysis.Pass, call *ast.CallExpr) {
 				"%s argument boxes a %s into the any slot, allocating per schedule: pass a pointer to the state instead",
 				fn.Name(), t.String())
 		}
+	case analysis.IsMethod(fn, cpuPath, "Task", "Post") && len(call.Args) == 2:
+		checkPost(pass, fn.Name(), call.Args[1])
+	case analysis.IsMethod(fn, cpuPath, "Task", "PostCenter") && len(call.Args) == 3:
+		checkPost(pass, fn.Name(), call.Args[2])
+	case analysis.IsMethod(fn, cpuPath, "Task", "PostLocked") && len(call.Args) == 4:
+		checkPost(pass, fn.Name(), call.Args[3])
+	}
+}
+
+// checkPost applies the closure rule to the work function of a
+// Task.Post-family call. A capture-free literal compiles to a static
+// function and is allowed.
+func checkPost(pass *analysis.Pass, name string, fnArg ast.Expr) {
+	arg := ast.Unparen(fnArg)
+	if lit, ok := arg.(*ast.FuncLit); ok {
+		if capt := captures(pass, lit); capt != "" {
+			pass.Reportf(arg.Pos(),
+				"closure literal passed to Task.%s captures %s and allocates per post: keep the in-flight state in a struct and post a method value bound once", name, capt)
+		}
+	} else if isMethodValue(pass, arg) {
+		pass.Reportf(arg.Pos(),
+			"bound method value passed to Task.%s allocates a closure per post: bind it once into a field and post the field", name)
 	}
 }
 

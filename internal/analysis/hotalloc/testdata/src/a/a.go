@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"livelock/internal/cpu"
+	"livelock/internal/prov"
 	"livelock/internal/sim"
 )
 
@@ -33,6 +35,41 @@ func schedule(nd *node, eng *sim.Engine) {
 }
 
 type label struct{ id int }
+
+// loop is a per-packet loop in the allocation-free shape: in-flight
+// state in the struct, continuations bound once into fields.
+type loop struct {
+	task   *cpu.Task
+	lock   *cpu.FairLock
+	n      int
+	stepFn func()
+}
+
+func (l *loop) step() {}
+
+func newLoop(task *cpu.Task) *loop {
+	l := &loop{task: task}
+	l.stepFn = l.step // bound once: fine
+	return l
+}
+
+func post(l *loop, fn func()) {
+	l.task.Post(5, l.stepFn)                                     // bound-once field: fine
+	l.task.Post(5, fn)                                           // parameter: fine
+	l.task.Post(5, nil)                                          // no work function: fine
+	l.task.Post(5, func() {})                                    // capture-free literal: fine
+	l.task.Post(5, l.step)                                       // want `bound method value passed to Task\.Post`
+	l.task.Post(5, func() { l.n++ })                             // want `closure literal passed to Task\.Post captures l`
+	l.task.PostCenter(5, prov.CenterIPInput, l.step)             // want `bound method value passed to Task\.PostCenter`
+	l.task.PostCenter(5, prov.CenterIPInput, func() { l.n++ })   // want `closure literal passed to Task\.PostCenter captures l`
+	l.task.PostLocked(l.lock, 5, prov.CenterIPInput, l.step)     // want `bound method value passed to Task\.PostLocked`
+	l.task.PostLocked(l.lock, 5, prov.CenterIPInput, (l.stepFn)) // parenthesized field: fine
+	p := &l.n
+	l.task.PostLocked(l.lock, 5, prov.CenterIPInput, func() { *p++ }) // want `closure literal passed to Task\.PostLocked captures p`
+
+	//lkvet:allow hotalloc cold setup path, posted once per trial
+	l.task.Post(5, func() { l.n = 0 })
+}
 
 func (n *node) bumpCall(a, b any) {}
 

@@ -27,6 +27,10 @@ import (
 // pending. This mirrors the cpu package's work-item shape so the poller
 // can charge each unit at the right time and remain preemptible between
 // units.
+//
+// The poller runs at most one of a device's units at a time, so an
+// allocation-free driver keeps the unit's packet in its own state and
+// returns a commit bound once at registration, never a fresh closure.
 type Step func() (cost sim.Duration, commit func(), ok bool)
 
 // Device is a driver's registration with the polling system (§6.4: "At
@@ -86,6 +90,12 @@ type Poller struct {
 	scheduled bool
 	running   bool
 
+	// commit is the in-flight unit's commit, run by afterStep once the
+	// unit's cost has been charged. The continuations are method
+	// values bound once in newPoller, so a step posts no closure.
+	commit                            func()
+	stepFn, beginRoundFn, afterStepFn func()
+
 	// Round state.
 	devIdx    int
 	doingTx   bool
@@ -129,6 +139,7 @@ func newPoller(eng *sim.Engine, c *cpu.CPU, name, rounds, wakeups, rx, tx string
 		RxSteps: stats.NewCounter(rx),
 		TxSteps: stats.NewCounter(tx),
 	}
+	p.stepFn, p.beginRoundFn, p.afterStepFn = p.step, p.beginRound, p.afterStep
 	p.task = c.NewTask(name, cpu.IPLThread, prio, cpu.ClassKernel)
 	// The thread's own machinery (wakeups, round sweeps) is polling
 	// overhead; the packet work its callbacks do is re-attributed per
@@ -178,7 +189,7 @@ func (p *Poller) Schedule() {
 	}
 	p.scheduled = true
 	p.Wakeups.Inc()
-	p.task.Post(p.cfg.WakeupCost, p.beginRound)
+	p.task.Post(p.cfg.WakeupCost, p.beginRoundFn)
 }
 
 func (p *Poller) beginRound() {
@@ -187,7 +198,7 @@ func (p *Poller) beginRound() {
 	p.doingTx = false
 	p.usedQuota = 0
 	p.roundWork = 0
-	p.task.Post(p.cfg.RoundCost, p.step)
+	p.task.Post(p.cfg.RoundCost, p.stepFn)
 }
 
 // rxAllowed applies the gate.
@@ -234,6 +245,7 @@ func (p *Poller) step() {
 				if p.doingTx {
 					center = prov.CenterOutput
 				}
+				p.commit = commit
 				if dev.Lock != nil {
 					tail := dev.LockedTail
 					if tail > cost {
@@ -242,25 +254,26 @@ func (p *Poller) step() {
 					if cost > tail {
 						p.task.PostCenter(cost-tail, center, nil)
 					}
-					p.task.PostLocked(dev.Lock, tail, center, func() {
-						if commit != nil {
-							commit()
-						}
-						p.step()
-					})
+					p.task.PostLocked(dev.Lock, tail, center, p.afterStepFn)
 					return
 				}
-				p.task.PostCenter(cost, center, func() {
-					if commit != nil {
-						commit()
-					}
-					p.step()
-				})
+				p.task.PostCenter(cost, center, p.afterStepFn)
 				return
 			}
 		}
 		p.endVisit()
 	}
+}
+
+// afterStep runs the in-flight unit's commit, then the next scheduling
+// decision.
+func (p *Poller) afterStep() {
+	commit := p.commit
+	p.commit = nil
+	if commit != nil {
+		commit()
+	}
+	p.step()
 }
 
 func (p *Poller) quotaLeft() bool {

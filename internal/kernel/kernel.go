@@ -159,6 +159,7 @@ type Router struct {
 
 	clockTask *cpu.Task
 	houseTask *cpu.Task
+	onTickFn  func() // onTick, bound once: the clock posts it every tick
 	ticks     uint64
 	nextOwnID uint64
 
@@ -363,6 +364,7 @@ func NewRouter(eng *sim.Engine, cfg Config) *Router {
 	r.clockTask.SetCenter(prov.CenterClock)
 	r.houseTask = r.CPU.NewTask("housekeeping", cpu.IPLThread, 50, cpu.ClassKernel)
 	r.houseTask.SetCenter(prov.CenterClock)
+	r.onTickFn = r.onTick
 	r.scheduleTick()
 
 	if cfg.Trace != nil || r.prof != nil {
@@ -694,7 +696,7 @@ func (r *Router) scheduleTick() {
 // every ClockTick for the whole run, so it must not allocate.
 func routerTick(a, _ any) {
 	r := a.(*Router)
-	r.clockTask.Post(r.Cfg.Costs.ClockTickCost, r.onTick)
+	r.clockTask.Post(r.Cfg.Costs.ClockTickCost, r.onTickFn)
 	r.scheduleTick()
 }
 

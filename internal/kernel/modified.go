@@ -6,6 +6,8 @@ import (
 	"livelock/internal/core"
 	"livelock/internal/cpu"
 	"livelock/internal/metrics"
+	"livelock/internal/netstack"
+	"livelock/internal/nic"
 	"livelock/internal/prov"
 	"livelock/internal/queue"
 	"livelock/internal/sim"
@@ -135,17 +137,18 @@ func newPolledPath(r *Router) *polledPath {
 	// registers both directions: inputs receive the flood and transmit
 	// router-originated frames (ICMP, replies); the output port only
 	// transmits.
+	sched := m.poller.Schedule
 	for _, port := range r.ports {
 		port := port
 		isInput := port.idx != OutIfIndex
-		var rx core.Step = func() (sim.Duration, func(), bool) { return 0, nil, false }
+		rx := core.Step(noWork)
 		if isInput {
-			rx = m.rxStep(port)
+			rx = newPolledRx(r, port.nic, -1).step
 		}
 		m.poller.Register(&core.Device{
 			Name: port.nic.Name(),
 			Rx:   rx,
-			Tx:   m.txStep(port),
+			Tx:   newPolledTx(r, port).step,
 			// Uniprocessor only: one core, fully serialized.
 			//lkvet:requires boot
 			EnableInterrupts: func() {
@@ -180,13 +183,13 @@ func newPolledPath(r *Router) *polledPath {
 				// The whole interrupt handler: dispatch cost, then
 				// schedule the polling thread. The interrupt stays
 				// masked (no RxIntrDone) until the poller re-enables it.
-				task.Post(c.IntrDispatch, m.poller.Schedule)
+				task.Post(c.IntrDispatch, sched)
 			})
 		}
 		txTask := r.CPU.NewTask("txintr."+port.nic.Name(), cpu.IPLDevice, 0, cpu.ClassIntr)
 		txTask.SetCenter(prov.CenterTxIntr)
 		port.nic.SetTxInterrupt(func() {
-			txTask.Post(c.IntrDispatch, m.poller.Schedule)
+			txTask.Post(c.IntrDispatch, sched)
 		})
 		if m.clocked {
 			port.nic.EnableRxInterrupt(false)
@@ -222,16 +225,14 @@ func (m *polledPath) initDevicesSMP() {
 		}
 		return r.Sys.CPU(idx % n)
 	}
-	nullStep := func() (sim.Duration, func(), bool) { return 0, nil, false }
-
 	// The output-only port first, matching the uniprocessor
 	// registration order (r.ports lists it first).
 	out := r.portByIdx[OutIfIndex]
 	m.txOwner[out] = m.pollers[0]
 	m.pollers[0].Register(&core.Device{
 		Name:       out.nic.Name(),
-		Rx:         nullStep,
-		Tx:         m.txStep(out),
+		Rx:         noWork,
+		Tx:         newPolledTx(r, out).step,
 		Lock:       r.netLock,
 		LockedTail: c.LockOp,
 		EnableInterrupts: func() {
@@ -257,13 +258,13 @@ func (m *polledPath) initDevicesSMP() {
 			hasTx := q == 0
 			dev := &core.Device{
 				Name:       fmt.Sprintf("%s.q%d", port.nic.Name(), q),
-				Rx:         m.rxQueueStep(port, q),
-				Tx:         nullStep,
+				Rx:         newPolledRx(r, port.nic, q).step,
+				Tx:         noWork,
 				Lock:       r.netLock,
 				LockedTail: c.LockOp,
 			}
 			if hasTx {
-				dev.Tx = m.txStep(port)
+				dev.Tx = newPolledTx(r, port).step
 				m.txOwner[port] = pol
 			}
 			dev.EnableInterrupts = func() {
@@ -372,109 +373,110 @@ func clockedPoll(a, _ any) {
 	m.scheduleClockedPoll()
 }
 
-// rxStep returns the received-packet callback for an input port: one
-// packet processed to completion per step. "The received-packet callback
-// procedures call the IP input processing routine directly, rather than
-// placing received packets on a queue" (§6.4).
-func (m *polledPath) rxStep(port *netPort) core.Step {
-	c := m.r.Cfg.Costs
-	// Uniprocessor only (rxQueueStep is the SMP variant): one core,
-	// fully serialized, so the step and its commits run as boot context.
-	//lkvet:requires boot
-	return func() (sim.Duration, func(), bool) {
-		p := port.nic.TakeRx()
-		if p == nil {
-			return 0, nil, false
-		}
-		m.r.tapMonitor(p)
-		if _, local := m.r.isLocal(p.Data); local {
-			//lkvet:requires boot
-			return c.PolledRxLocalPerPkt, func() {
-				m.r.invest(p, prov.CenterIPInput, c.PolledRxLocalPerPkt)
-				m.r.observe(prov.StagePollRxLocal, p)
-				m.r.deliverLocal(p)
-			}, true
-		}
-		if m.r.screend != nil {
-			//lkvet:requires boot
-			return c.PolledRxToScreendPerPkt, func() {
-				m.r.invest(p, prov.CenterIPInput, c.PolledRxToScreendPerPkt)
-				m.r.observe(prov.StagePollRxScreend, p)
-				m.r.screend.submit(p)
-			}, true
-		}
-		cost := c.PolledRxPerPkt
-		if m.r.fastPathHit(p.Data) {
-			cost -= c.FastPathSavings
-		}
-		//lkvet:requires boot
-		return cost, func() {
-			m.r.invest(p, prov.CenterIPInput, cost)
-			m.r.observe(prov.StagePollRxForward, p)
-			m.r.forwardFrame(p)
-		}, true
-	}
+// noWork is the step of a direction a device does not have.
+func noWork() (sim.Duration, func(), bool) { return 0, nil, false }
+
+// polledRx is the received-packet callback of one input port (SMP: of
+// one steered rx queue), in the per-packet convention of the
+// unmodified path's loops: the packet between the step that takes it
+// off the ring and the commit that hands it to the IP layer lives
+// here, and the commit is a method value bound once at registration.
+// The poller runs one unit of a device at a time.
+type polledRx struct {
+	r   *Router
+	nic *nic.NIC
+	q   int // the rx queue to drain; -1 takes from every queue
+
+	p        *netstack.Packet
+	cost     sim.Duration
+	stage    prov.Stage
+	commitFn func()
 }
 
-// rxQueueStep is rxStep for one steered rx queue of an input port (SMP):
-// identical processing, but pulling only from queue q so each poller
-// drains exactly the queues whose interrupts it owns.
-func (m *polledPath) rxQueueStep(port *netPort, q int) core.Step {
-	c := m.r.Cfg.Costs
-	return func() (sim.Duration, func(), bool) {
-		p := port.nic.TakeRxQueue(q)
-		if p == nil {
-			return 0, nil, false
-		}
-		m.r.tapMonitor(p)
-		if _, local := m.r.isLocal(p.Data); local {
-			// The commit runs under the device lock: core.Poller posts
-			// it with PostLocked(Device.Lock) — r.netLock here.
-			//lkvet:requires netLock
-			return c.PolledRxLocalPerPkt, func() {
-				m.r.invest(p, prov.CenterIPInput, c.PolledRxLocalPerPkt)
-				m.r.observe(prov.StagePollRxLocal, p)
-				m.r.deliverLocal(p)
-			}, true
-		}
-		if m.r.screend != nil {
-			//lkvet:requires netLock
-			return c.PolledRxToScreendPerPkt, func() {
-				m.r.invest(p, prov.CenterIPInput, c.PolledRxToScreendPerPkt)
-				m.r.observe(prov.StagePollRxScreend, p)
-				m.r.screend.submit(p)
-			}, true
-		}
-		cost := c.PolledRxPerPkt
+func newPolledRx(r *Router, n *nic.NIC, q int) *polledRx {
+	x := &polledRx{r: r, nic: n, q: q}
+	x.commitFn = x.commit
+	return x
+}
+
+// step takes one packet off the ring and prices its processing to
+// completion: "the received-packet callback procedures call the IP
+// input processing routine directly, rather than placing received
+// packets on a queue" (§6.4).
+func (x *polledRx) step() (sim.Duration, func(), bool) {
+	var p *netstack.Packet
+	if x.q < 0 {
+		p = x.nic.TakeRx()
+	} else {
+		p = x.nic.TakeRxQueue(x.q)
+	}
+	if p == nil {
+		return 0, nil, false
+	}
+	r, c := x.r, x.r.Cfg.Costs
+	r.tapMonitor(p)
+	x.p = p
+	if _, local := r.isLocal(p.Data); local {
+		x.cost, x.stage = c.PolledRxLocalPerPkt, prov.StagePollRxLocal
+	} else if r.screend != nil {
+		x.cost, x.stage = c.PolledRxToScreendPerPkt, prov.StagePollRxScreend
+	} else {
+		x.cost, x.stage = c.PolledRxPerPkt, prov.StagePollRxForward
 		//lkvet:allow lockguard unlocked cost-model peek at the flow cache; the authoritative lookup runs in the locked commit
-		if m.r.fastPathHit(p.Data) {
-			cost -= c.FastPathSavings
+		if r.fastPathHit(p.Data) {
+			x.cost -= c.FastPathSavings
 		}
-		//lkvet:requires netLock
-		return cost, func() {
-			m.r.invest(p, prov.CenterIPInput, cost)
-			m.r.observe(prov.StagePollRxForward, p)
-			m.r.forwardFrame(p)
-		}, true
+	}
+	return x.cost, x.commitFn, true
+}
+
+// commit runs under the device lock: core.Poller posts it with
+// PostLocked(Device.Lock), r.netLock on SMP; the uniprocessor poller
+// is fully serialized.
+//
+//lkvet:requires netLock
+func (x *polledRx) commit() {
+	r, p := x.r, x.p
+	x.p = nil
+	r.invest(p, prov.CenterIPInput, x.cost)
+	r.observe(x.stage, p)
+	switch x.stage {
+	case prov.StagePollRxLocal:
+		r.deliverLocal(p)
+	case prov.StagePollRxScreend:
+		r.screend.submit(p)
+	default:
+		r.forwardFrame(p)
 	}
 }
 
-// txStep returns the transmitted-packet callback: reclaim one descriptor
-// and refill the transmitter.
-func (m *polledPath) txStep(port *netPort) core.Step {
-	c := m.r.Cfg.Costs
-	return func() (sim.Duration, func(), bool) {
-		if !port.nic.ReclaimTx() {
-			return 0, nil, false
-		}
-		// Under the device lock (r.netLock) on SMP; the uniprocessor
-		// poller registers devices with no lock but runs serialized.
-		//lkvet:requires netLock
-		return c.PolledTxPerPkt, func() {
-			m.r.ifStart(port)
-		}, true
-	}
+// polledTx is a port's transmitted-packet callback: reclaim one
+// descriptor and refill the transmitter. It carries no per-unit state.
+type polledTx struct {
+	r        *Router
+	port     *netPort
+	commitFn func()
 }
+
+func newPolledTx(r *Router, port *netPort) *polledTx {
+	x := &polledTx{r: r, port: port}
+	x.commitFn = x.commit
+	return x
+}
+
+func (x *polledTx) step() (sim.Duration, func(), bool) {
+	if !x.port.nic.ReclaimTx() {
+		return 0, nil, false
+	}
+	return x.r.Cfg.Costs.PolledTxPerPkt, x.commitFn, true
+}
+
+// commit runs under the device lock (r.netLock) on SMP; the
+// uniprocessor poller registers devices with no lock but runs
+// serialized.
+//
+//lkvet:requires netLock
+func (x *polledTx) commit() { x.r.ifStart(x.port) }
 
 // attachQueueFeedback applies the §6.6.1 queue-state feedback technique
 // to an arbitrary queue — "the same queue-state feedback technique could

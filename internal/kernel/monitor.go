@@ -33,6 +33,8 @@ type Monitor struct {
 	ring      []MonitorRecord
 	head, cnt int
 	scheduled bool
+	// loopFn and processFn are loop and process, bound once.
+	loopFn, processFn func()
 
 	// Captured counts records accepted into the buffer; Dropped counts
 	// records lost to overflow; Processed counts records the monitoring
@@ -91,6 +93,7 @@ func (r *Router) StartMonitor(cfg MonitorConfig) *Monitor {
 		Dropped:   stats.NewCounter("monitor.dropped"),
 		Processed: stats.NewCounter("monitor.processed"),
 	}
+	m.loopFn, m.processFn = m.loop, m.process
 	m.task = r.CPU.NewTask("monitor", cpu.IPLThread, cfg.Prio, cpu.ClassUser)
 	m.task.SetCenter(prov.CenterUserProc)
 	if cfg.Feedback && r.polled != nil {
@@ -172,7 +175,7 @@ func (m *Monitor) wakeup() {
 		return
 	}
 	m.scheduled = true
-	m.task.Post(m.r.Cfg.Costs.ScreendWakeup, m.loop)
+	m.task.Post(m.r.Cfg.Costs.ScreendWakeup, m.loopFn)
 }
 
 func (m *Monitor) loop() {
@@ -180,24 +183,27 @@ func (m *Monitor) loop() {
 		m.scheduled = false
 		return
 	}
-	m.task.Post(m.cfg.ProcessCost, func() {
-		if m.cnt == 0 {
-			m.scheduled = false
-			return
+	m.task.Post(m.cfg.ProcessCost, m.processFn)
+}
+
+// process consumes one capture record.
+func (m *Monitor) process() {
+	if m.cnt == 0 {
+		m.scheduled = false
+		return
+	}
+	rec := m.ring[m.head]
+	m.head = (m.head + 1) % len(m.ring)
+	m.cnt--
+	m.Bytes += uint64(rec.Len)
+	m.Processed.Inc()
+	if m.fb != nil {
+		m.fb.Progress()
+		if m.cnt <= len(m.ring)/4 {
+			m.fb.QueueLow()
 		}
-		rec := m.ring[m.head]
-		m.head = (m.head + 1) % len(m.ring)
-		m.cnt--
-		m.Bytes += uint64(rec.Len)
-		m.Processed.Inc()
-		if m.fb != nil {
-			m.fb.Progress()
-			if m.cnt <= len(m.ring)/4 {
-				m.fb.QueueLow()
-			}
-		}
-		m.loop()
-	})
+	}
+	m.loop()
 }
 
 // tapMonitor is the receive-path hook.

@@ -23,6 +23,17 @@ type screendProc struct {
 	scheduled bool
 	hung      bool
 
+	// Per-packet loop state (the convention of unmodified.go): the
+	// packet between its dequeue and its send, the cost of the SMP
+	// body item in flight, and continuations bound once in
+	// newScreendProc. loopFn is loop or loopSMP; recvFn dequeues (and,
+	// on a uniprocessor, filters); filterFn and sendBodyFn are the SMP
+	// loop's unlocked items; sendFn re-injects the packet.
+	p                      *netstack.Packet
+	cost                   sim.Duration
+	loopFn, recvFn, sendFn func()
+	filterFn, sendBodyFn   func()
+
 	// Accepted/Rejected count filter verdicts.
 	Accepted *stats.Counter
 	Rejected *stats.Counter
@@ -48,6 +59,12 @@ func newScreendProc(r *Router) *screendProc {
 	// interrupt, which is the whole problem.
 	s.task = r.CPU.NewTask("screend", cpu.IPLThread, 5, cpu.ClassUser)
 	s.task.SetCenter(prov.CenterScreend)
+	if r.smp() {
+		s.loopFn, s.recvFn, s.filterFn, s.sendBodyFn, s.sendFn =
+			s.loopSMP, s.dequeueSMP, s.filterSMP, s.sendBodySMP, s.sendSMP
+	} else {
+		s.loopFn, s.recvFn, s.sendFn = s.loop, s.recv, s.send
+	}
 
 	// Build the configured number of no-op deny rules followed by a
 	// final allow-all, so every packet traverses the whole list (the
@@ -128,11 +145,14 @@ func (s *screendProc) wakeup() {
 		return
 	}
 	s.scheduled = true
-	if s.r.smp() {
-		s.task.Post(s.r.Cfg.Costs.ScreendWakeup, s.loopSMP)
-		return
-	}
-	s.task.Post(s.r.Cfg.Costs.ScreendWakeup, s.loop)
+	s.task.Post(s.r.Cfg.Costs.ScreendWakeup, s.loopFn)
+}
+
+// perPkt is the recv syscall plus filter evaluation cost of one packet.
+func (s *screendProc) perPkt() sim.Duration {
+	c := s.r.Cfg.Costs
+	return c.ScreendRecvPerPkt + c.ScreendFilterPerPkt +
+		sim.Duration(len(s.rules))*c.ScreendRuleCost
 }
 
 // loop processes one packet per iteration: recv syscall, filter
@@ -146,36 +166,40 @@ func (s *screendProc) loop() {
 		s.scheduled = false
 		return
 	}
-	c := s.r.Cfg.Costs
-	perPkt := c.ScreendRecvPerPkt + c.ScreendFilterPerPkt +
-		sim.Duration(len(s.rules))*c.ScreendRuleCost
-	//lkvet:requires boot
-	s.task.Post(perPkt, func() {
-		p := s.r.screendq.Dequeue()
-		if p == nil {
-			s.scheduled = false
-			return
-		}
-		s.r.notifyScreendProgress()
-		s.r.invest(p, prov.CenterScreend, perPkt)
-		if s.verdict(p) {
-			s.Accepted.Inc()
-			s.r.observe(prov.StageScreendAccept, p)
-			// The send syscall re-injects the packet; its kernel half
-			// (ip_output, ifqueue enqueue, transmit start) is charged
-			// here, in process context, as in the real system.
-			//lkvet:requires boot
-			s.task.Post(c.ScreendSendPerPkt, func() {
-				s.r.invest(p, prov.CenterScreend, c.ScreendSendPerPkt)
-				s.r.forwardFrame(p)
-				s.loop()
-			})
-			return
-		}
-		s.r.drop(p, prov.ReasonScreendReject)
-		p.Release()
-		s.loop()
-	})
+	s.task.Post(s.perPkt(), s.recvFn)
+}
+
+//lkvet:requires boot
+func (s *screendProc) recv() {
+	p := s.r.screendq.Dequeue()
+	if p == nil {
+		s.scheduled = false
+		return
+	}
+	s.r.notifyScreendProgress()
+	s.r.invest(p, prov.CenterScreend, s.perPkt())
+	if s.verdict(p) {
+		s.Accepted.Inc()
+		s.r.observe(prov.StageScreendAccept, p)
+		// The send syscall re-injects the packet; its kernel half
+		// (ip_output, ifqueue enqueue, transmit start) is charged
+		// here, in process context, as in the real system.
+		s.p = p
+		s.task.Post(s.r.Cfg.Costs.ScreendSendPerPkt, s.sendFn)
+		return
+	}
+	s.r.drop(p, prov.ReasonScreendReject)
+	p.Release()
+	s.loop()
+}
+
+//lkvet:requires boot
+func (s *screendProc) send() {
+	p := s.p
+	s.p = nil
+	s.r.invest(p, prov.CenterScreend, s.r.Cfg.Costs.ScreendSendPerPkt)
+	s.r.forwardFrame(p)
+	s.loop()
 }
 
 // loopSMP is loop with the shared-state touches under r.netLock: the
@@ -190,48 +214,52 @@ func (s *screendProc) loopSMP() {
 		return
 	}
 	c := s.r.Cfg.Costs
-	perPkt := c.ScreendRecvPerPkt + c.ScreendFilterPerPkt +
-		sim.Duration(len(s.rules))*c.ScreendRuleCost
-	body := perPkt - c.LockOp
-	if body < 0 {
-		body = 0
+	s.cost = max(s.perPkt()-c.LockOp, 0)
+	s.task.PostLocked(s.r.netLock, c.LockOp, prov.CenterScreend, s.recvFn)
+	s.task.Post(s.cost, s.filterFn)
+}
+
+//lkvet:requires netLock
+func (s *screendProc) dequeueSMP() {
+	s.r.ld.Check(s.r.screendq)
+	s.p = s.r.screendq.Dequeue()
+	if s.p != nil {
+		s.r.invest(s.p, prov.CenterScreend, s.r.Cfg.Costs.LockOp)
 	}
-	var p *netstack.Packet
-	s.task.PostLocked(s.r.netLock, c.LockOp, prov.CenterScreend, func() {
-		s.r.ld.Check(s.r.screendq)
-		p = s.r.screendq.Dequeue()
-		if p != nil {
-			s.r.invest(p, prov.CenterScreend, c.LockOp)
-		}
-	})
-	s.task.Post(body, func() {
-		if p == nil {
-			s.scheduled = false
-			return
-		}
-		s.r.notifyScreendProgress()
-		s.r.invest(p, prov.CenterScreend, body)
-		if s.verdict(p) {
-			s.Accepted.Inc()
-			s.r.observe(prov.StageScreendAccept, p)
-			sendBody := c.ScreendSendPerPkt - c.LockOp
-			if sendBody < 0 {
-				sendBody = 0
-			}
-			s.task.Post(sendBody, func() {
-				s.r.invest(p, prov.CenterScreend, sendBody)
-			})
-			s.task.PostLocked(s.r.netLock, c.LockOp, prov.CenterScreend, func() {
-				s.r.invest(p, prov.CenterScreend, c.LockOp)
-				s.r.forwardFrame(p)
-				s.loopSMP()
-			})
-			return
-		}
-		s.r.drop(p, prov.ReasonScreendReject)
-		p.Release()
-		s.loopSMP()
-	})
+}
+
+func (s *screendProc) filterSMP() {
+	p := s.p
+	if p == nil {
+		s.scheduled = false
+		return
+	}
+	s.r.notifyScreendProgress()
+	s.r.invest(p, prov.CenterScreend, s.cost)
+	if s.verdict(p) {
+		s.Accepted.Inc()
+		s.r.observe(prov.StageScreendAccept, p)
+		c := s.r.Cfg.Costs
+		s.cost = max(c.ScreendSendPerPkt-c.LockOp, 0)
+		s.task.Post(s.cost, s.sendBodyFn)
+		s.task.PostLocked(s.r.netLock, c.LockOp, prov.CenterScreend, s.sendFn)
+		return
+	}
+	s.p = nil
+	s.r.drop(p, prov.ReasonScreendReject)
+	p.Release()
+	s.loopSMP()
+}
+
+func (s *screendProc) sendBodySMP() { s.r.invest(s.p, prov.CenterScreend, s.cost) }
+
+//lkvet:requires netLock
+func (s *screendProc) sendSMP() {
+	p := s.p
+	s.p = nil
+	s.r.invest(p, prov.CenterScreend, s.r.Cfg.Costs.LockOp)
+	s.r.forwardFrame(p)
+	s.loopSMP()
 }
 
 // verdict evaluates the rule list against the packet's real headers.

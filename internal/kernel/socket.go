@@ -115,6 +115,14 @@ type AppServer struct {
 	scheduled bool
 	wakeCost  sim.Duration
 
+	// The reply in flight between parsing its request and the send
+	// item: the frame spec (the request's addresses and ports swapped,
+	// a zero payload shared by every reply) and its IP destination.
+	// loopFn, recvFn and sendFn are loop, recv and send, bound once.
+	reply                  netstack.FrameSpec
+	replyDst               netstack.Addr
+	loopFn, recvFn, sendFn func()
+
 	// Served counts requests fully processed; Replied counts replies
 	// handed to the output path.
 	Served  *stats.Counter
@@ -135,6 +143,8 @@ func (r *Router) StartApp(cfg AppConfig) *AppServer {
 		Replied:  stats.NewCounter("app.replied"),
 	}
 	a.sock.app = a
+	a.reply = netstack.FrameSpec{Payload: make([]byte, cfg.ReplyBytes), UDPChecksum: true}
+	a.loopFn, a.recvFn, a.sendFn = a.loop, a.recv, a.send
 	a.task = r.CPU.NewTask("app", cpu.IPLThread, cfg.Prio, cpu.ClassUser)
 	a.task.SetCenter(prov.CenterUserProc)
 	if cfg.Feedback && r.polled != nil {
@@ -152,7 +162,7 @@ func (a *AppServer) wakeup() {
 		return
 	}
 	a.scheduled = true
-	a.task.Post(a.wakeCost, a.loop)
+	a.task.Post(a.wakeCost, a.loopFn)
 }
 
 func (a *AppServer) loop() {
@@ -160,56 +170,61 @@ func (a *AppServer) loop() {
 		a.scheduled = false
 		return
 	}
-	a.task.Post(a.cfg.RecvCost+a.cfg.ProcessCost, func() {
-		p := a.sock.buf.Dequeue()
-		if p == nil {
-			a.scheduled = false
-			return
-		}
-		if a.fb != nil {
-			a.fb.Progress()
-		}
-		a.Served.Inc()
-		if a.cfg.ReplyBytes > 0 {
-			a.reply(p)
-			return
-		}
-		p.Release()
-		a.loop()
-	})
+	a.task.Post(a.cfg.RecvCost+a.cfg.ProcessCost, a.recvFn)
 }
 
-// reply builds a real UDP response (addresses and ports swapped) and
-// sends it via the kernel's output path.
-func (a *AppServer) reply(req *netstack.Packet) {
+// recv is the recv syscall plus request processing for one datagram.
+func (a *AppServer) recv() {
+	p := a.sock.buf.Dequeue()
+	if p == nil {
+		a.scheduled = false
+		return
+	}
+	if a.fb != nil {
+		a.fb.Progress()
+	}
+	a.Served.Inc()
+	if a.cfg.ReplyBytes > 0 {
+		a.prepareReply(p)
+		return
+	}
+	p.Release()
+	a.loop()
+}
+
+// prepareReply addresses a real UDP response to the request (addresses
+// and ports swapped) and posts the send syscall that transmits it via
+// the kernel's output path.
+func (a *AppServer) prepareReply(req *netstack.Packet) {
 	eth, ip, udp, _, err := netstack.ParseUDPFrame(req.Data)
 	req.Release()
 	if err != nil {
 		a.loop()
 		return
 	}
-	// Uniprocessor only (NewRouter refuses UserProcess on SMP): the
-	// user process is serialized with the whole kernel.
-	//lkvet:requires boot
-	a.task.Post(a.cfg.ReplyCost, func() {
-		spec := netstack.FrameSpec{
-			SrcMAC: eth.Dst, DstMAC: eth.Src,
-			SrcIP: ip.Dst, DstIP: ip.Src,
-			SrcPort: udp.DstPort, DstPort: udp.SrcPort,
-			Payload:     make([]byte, a.cfg.ReplyBytes),
-			UDPChecksum: true,
+	a.reply.SrcMAC, a.reply.DstMAC = eth.Dst, eth.Src
+	a.reply.SrcIP, a.reply.DstIP = ip.Dst, ip.Src
+	a.reply.SrcPort, a.reply.DstPort = udp.DstPort, udp.SrcPort
+	a.replyDst = ip.Src
+	a.task.Post(a.cfg.ReplyCost, a.sendFn)
+}
+
+// send builds and transmits the prepared reply. Uniprocessor only
+// (NewRouter refuses UserProcess on SMP): the user process is
+// serialized with the whole kernel.
+//
+//lkvet:requires boot
+func (a *AppServer) send() {
+	p := a.r.Pool.Get(a.reply.FrameLen())
+	if p != nil {
+		if _, err := netstack.BuildUDPFrame(p.Data, &a.reply); err != nil {
+			panic(err)
 		}
-		p := a.r.Pool.Get(spec.FrameLen())
-		if p != nil {
-			if _, err := netstack.BuildUDPFrame(p.Data, &spec); err != nil {
-				panic(err)
-			}
-			p.ID = a.r.ownID()
-			p.Born = a.r.Eng.Now()
-			if a.r.transmitOwn(p, ip.Src) {
-				a.Replied.Inc()
-			}
+		p.ID = a.r.ownID()
+		p.Born = a.r.Eng.Now()
+		if a.r.transmitOwn(p, a.replyDst) {
+			a.Replied.Inc()
 		}
-		a.loop()
-	})
+	}
+	a.loop()
 }

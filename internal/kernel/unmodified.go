@@ -25,57 +25,114 @@ type unmodifiedPath struct {
 	r *Router
 
 	rxTasks []*cpu.Task // one per input NIC (SMP: per rx queue), device IPL
-	softint *cpu.Task   // the netisr, softint IPL (boot CPU)
 
-	softintScheduled bool
-
-	// SMP generalization (nil at CPUs == 1): one netisr per core —
-	// softints[0] is the boot CPU's softint above — each scheduled by
-	// the receive handlers steered to that core, all contending on the
-	// shared ipintrq under r.ipqLock.
-	softints  []*cpu.Task
-	softSched []bool
-	softRun   []func()
+	// isrs are the network software interrupts, one per core: isrs[0]
+	// is the boot CPU's "netisr" (backed by one, so a uniprocessor
+	// allocates no slice). On SMP each is scheduled by the receive
+	// handlers steered to its core, all contending on the shared
+	// ipintrq under r.ipqLock.
+	isrs []*netisr
+	one  [1]*netisr
 }
+
+// The per-packet loops below follow one convention: each loop keeps
+// the packet and cost in flight between its work items in a small
+// struct, and posts continuations that are method values bound once at
+// construction. A loop only ever has one packet outstanding, and it
+// copies the in-flight fields to locals before re-arming, so no work
+// item allocates a closure.
+
+// netisr is one core's network software interrupt loop: it forwards
+// one ipintrq packet per work item.
+type netisr struct {
+	u         *unmodifiedPath
+	task      *cpu.Task
+	scheduled bool
+
+	p    *netstack.Packet // SMP: the packet this round dequeued
+	cost sim.Duration     // the forwarding item's cost (SMP: its unlocked body)
+
+	// loopFn re-enters the loop (loop, or loopSMP on SMP); forwardFn
+	// is the uniprocessor forwarding item; the SMP loop splits that
+	// item into dequeueFn, bodyFn and deliverFn.
+	loopFn, forwardFn            func()
+	dequeueFn, bodyFn, deliverFn func()
+}
+
+func (u *unmodifiedPath) newNetisr(c *cpu.CPU, name string) *netisr {
+	n := &netisr{u: u}
+	n.task = c.NewTask(name, cpu.IPLSoft, 0, cpu.ClassSoft)
+	n.task.SetCenter(prov.CenterIPInput)
+	if u.r.smp() {
+		n.loopFn, n.dequeueFn, n.bodyFn, n.deliverFn = n.loopSMP, n.dequeueSMP, n.bodySMP, n.deliverSMP
+	} else {
+		n.loopFn, n.forwardFn = n.loop, n.forward
+	}
+	return n
+}
+
+// rxHandler is one receive interrupt's per-packet loop at device IPL
+// (SMP: one steered rx queue's).
+type rxHandler struct {
+	u    *unmodifiedPath
+	in   *nic.NIC
+	task *cpu.Task
+	q    int     // SMP: the rx queue this handler drains
+	isr  *netisr // the netisr on this handler's core
+
+	p    *netstack.Packet
+	cost sim.Duration
+
+	// loopFn is loop (loopSMP on SMP); enqueueFn hands the packet to
+	// ipintrq; the SMP loop first runs tapFn, the unlocked body.
+	loopFn, enqueueFn, tapFn func()
+}
+
+// intr is the hardware interrupt: pay the dispatch cost, then start
+// the batched per-packet loop.
+func (h *rxHandler) intr() { h.task.Post(h.u.r.Cfg.Costs.IntrDispatch, h.loopFn) }
+
+// txHandler is one port's transmit-complete interrupt loop at device
+// IPL; it reclaims one descriptor per work item.
+type txHandler struct {
+	u         *unmodifiedPath
+	port      *netPort
+	loopFn    func() // loop, or loopSMP on SMP
+	reclaimFn func() // reclaim, or reclaimSMP on SMP
+}
+
+func (h *txHandler) intr() { h.port.txTask.Post(h.u.r.Cfg.Costs.IntrDispatch, h.loopFn) }
 
 func newUnmodifiedPath(r *Router) *unmodifiedPath {
 	u := &unmodifiedPath{r: r}
-	u.softint = r.CPU.NewTask("netisr", cpu.IPLSoft, 0, cpu.ClassSoft)
-	u.softint.SetCenter(prov.CenterIPInput)
+	u.one[0] = u.newNetisr(r.CPU, "netisr")
+	u.isrs = u.one[:]
 
 	if r.smp() {
 		u.initSMP()
 	} else {
 		for _, in := range r.Ins {
-			in := in
 			task := r.CPU.NewTask("rxintr."+in.Name(), cpu.IPLDevice, 0, cpu.ClassIntr)
 			task.SetCenter(prov.CenterRxIntr)
 			u.rxTasks = append(u.rxTasks, task)
-			// The hardware interrupt: pay the dispatch cost, then start
-			// the batched per-packet loop.
-			in.SetRxInterrupt(func() {
-				//lkvet:requires boot
-				task.Post(u.r.Cfg.Costs.IntrDispatch, func() { u.rxLoop(in, task) })
-			})
+			h := &rxHandler{u: u, in: in, task: task, isr: u.isrs[0]}
+			h.loopFn, h.enqueueFn = h.loop, h.enqueue
+			in.SetRxInterrupt(h.intr)
 		}
 	}
 
 	// Every port that can transmit gets a device-IPL transmit-complete
 	// handler (on the boot CPU: output interfaces are not steered).
 	for _, port := range r.ports {
-		port := port
 		port.txTask = r.CPU.NewTask("txintr."+port.nic.Name(), cpu.IPLDevice, 0, cpu.ClassIntr)
 		port.txTask.SetCenter(prov.CenterTxIntr)
+		h := &txHandler{u: u, port: port}
 		if r.smp() {
-			port.nic.SetTxInterrupt(func() {
-				port.txTask.Post(r.Cfg.Costs.IntrDispatch, func() { u.txLoopSMP(port) })
-			})
+			h.loopFn, h.reclaimFn = h.loopSMP, h.reclaimSMP
 		} else {
-			port.nic.SetTxInterrupt(func() {
-				//lkvet:requires boot
-				port.txTask.Post(r.Cfg.Costs.IntrDispatch, func() { u.txLoop(port) })
-			})
+			h.loopFn, h.reclaimFn = h.loop, h.reclaim
 		}
+		port.nic.SetTxInterrupt(h.intr)
 	}
 	return u
 }
@@ -86,33 +143,21 @@ func newUnmodifiedPath(r *Router) *unmodifiedPath {
 func (u *unmodifiedPath) initSMP() {
 	r := u.r
 	n := r.Sys.N()
-	u.softints = make([]*cpu.Task, n)
-	u.softSched = make([]bool, n)
-	u.softRun = make([]func(), n)
-	u.softints[0] = u.softint
 	for k := 1; k < n; k++ {
-		t := r.Sys.CPU(k).NewTask(fmt.Sprintf("netisr.%d", k), cpu.IPLSoft, 0, cpu.ClassSoft)
-		t.SetCenter(prov.CenterIPInput)
-		u.softints[k] = t
-	}
-	for k := range u.softRun {
-		k := k
-		u.softRun[k] = func() { u.softLoopSMP(k) }
+		u.isrs = append(u.isrs, u.newNetisr(r.Sys.CPU(k), fmt.Sprintf("netisr.%d", k)))
 	}
 	gidx := 0
 	for _, in := range r.Ins {
-		in := in
 		for q := 0; q < in.RxQueues(); q++ {
-			q := q
 			core := gidx % n
 			task := r.Sys.CPU(core).NewTask(
 				fmt.Sprintf("rxintr.%s.q%d", in.Name(), q),
 				cpu.IPLDevice, 0, cpu.ClassIntr)
 			task.SetCenter(prov.CenterRxIntr)
 			u.rxTasks = append(u.rxTasks, task)
-			in.SetRxQueueInterrupt(q, func() {
-				task.Post(u.r.Cfg.Costs.IntrDispatch, func() { u.rxLoopSMP(in, q, task, core) })
-			})
+			h := &rxHandler{u: u, in: in, task: task, q: q, isr: u.isrs[core]}
+			h.loopFn, h.enqueueFn, h.tapFn = h.loopSMP, h.enqueueSMP, h.tapSMP
+			in.SetRxQueueInterrupt(q, h.intr)
 			gidx++
 		}
 	}
@@ -125,12 +170,9 @@ func (u *unmodifiedPath) initSMP() {
 func (u *unmodifiedPath) registerMetrics(reg *metrics.Registry) {
 	must := metrics.MustRegister
 	must(reg.Gauge("netisr.pending", func() float64 {
-		if u.softints == nil {
-			return float64(u.softint.Pending())
-		}
 		var pend int
-		for _, t := range u.softints {
-			pend += t.Pending()
+		for _, n := range u.isrs {
+			pend += n.task.Pending()
 		}
 		return float64(pend)
 	}))
@@ -162,85 +204,96 @@ func (u *unmodifiedPath) fwdPktCost() sim.Duration {
 	return c
 }
 
-// rxLoop processes one packet per work item at device IPL, continuing
+// loop processes one packet per work item at device IPL, continuing
 // while the ring is non-empty (interrupt batching: the dispatch cost was
 // paid once, by the interrupt that started the loop). Uniprocessor
-// only (rxLoopSMP is the locked variant): one core, fully serialized.
+// only (loopSMP is the locked variant): one core, fully serialized.
 //
 //lkvet:requires boot
-func (u *unmodifiedPath) rxLoop(in *nic.NIC, task *cpu.Task) {
-	p := in.TakeRx()
+func (h *rxHandler) loop() {
+	p := h.in.TakeRx()
 	if p == nil {
-		in.RxIntrDone()
+		h.in.RxIntrDone()
 		return
 	}
-	cost := u.rxPktCost()
-	//lkvet:requires boot
-	task.Post(cost, func() {
-		// Link-level processing done: the device cycles just consumed
-		// are invested in this packet's provenance record, then the
-		// promiscuous monitor is tapped and the packet handed to the IP
-		// layer via ipintrq. A full queue drops it here — after the
-		// device work was spent (the "foolish" drop of §6.3).
-		u.r.invest(p, prov.CenterRxIntr, cost)
-		u.r.tapMonitor(p)
-		if u.r.ipintrq.Enqueue(p) {
-			u.r.observe(prov.StageIPIntrQEnqueue, p)
-			u.schedNetisr()
-		} else {
-			u.r.drop(p, prov.ReasonIPIntrQFull)
-			p.Release()
-		}
-		if u.r.Cfg.DisableBatching {
-			// Ablation: one packet per interrupt; the next packet pays
-			// a fresh dispatch cost.
-			in.RxIntrDone()
-			return
-		}
-		u.rxLoop(in, task)
-	})
+	h.p, h.cost = p, h.u.rxPktCost()
+	h.task.Post(h.cost, h.enqueueFn)
 }
 
-// schedNetisr raises the network software interrupt if it is not
-// already pending.
-func (u *unmodifiedPath) schedNetisr() {
-	if u.softintScheduled {
-		return
-	}
-	u.softintScheduled = true
-	u.softint.Post(u.r.Cfg.Costs.SoftintDispatch, u.softLoop)
-}
-
-// softLoop forwards one packet per work item at softint IPL.
-// Uniprocessor only (softLoopSMP is the locked variant).
+// enqueue finishes link-level processing: the device cycles just
+// consumed are invested in this packet's provenance record, then the
+// promiscuous monitor is tapped and the packet handed to the IP layer
+// via ipintrq. A full queue drops it here — after the device work was
+// spent (the "foolish" drop of §6.3).
 //
 //lkvet:requires boot
-func (u *unmodifiedPath) softLoop() {
-	if u.r.ipintrq.Empty() {
-		u.softintScheduled = false
+func (h *rxHandler) enqueue() {
+	r, p := h.u.r, h.p
+	h.p = nil
+	r.invest(p, prov.CenterRxIntr, h.cost)
+	r.tapMonitor(p)
+	if r.ipintrq.Enqueue(p) {
+		r.observe(prov.StageIPIntrQEnqueue, p)
+		h.isr.schedule()
+	} else {
+		r.drop(p, prov.ReasonIPIntrQFull)
+		p.Release()
+	}
+	if r.Cfg.DisableBatching {
+		// Ablation: one packet per interrupt; the next packet pays
+		// a fresh dispatch cost.
+		h.in.RxIntrDone()
 		return
 	}
-	cost := u.fwdPktCost()
-	if head := u.r.ipintrq.Peek(); head != nil && u.r.screend == nil &&
-		u.r.fastPathHit(head.Data) {
-		cost -= u.r.Cfg.Costs.FastPathSavings
+	h.loop()
+}
+
+// schedule raises the network software interrupt if it is not already
+// pending.
+func (n *netisr) schedule() {
+	if n.scheduled {
+		return
 	}
-	//lkvet:requires boot
-	u.softint.Post(cost, func() {
-		p := u.r.ipintrq.Dequeue()
-		if p != nil {
-			u.r.invest(p, prov.CenterIPInput, cost)
-			u.r.observe(prov.StageSoftIPInput, p)
-			u.deliverIP(p)
-		}
-		u.softLoop()
-	})
+	n.scheduled = true
+	n.task.Post(n.u.r.Cfg.Costs.SoftintDispatch, n.loopFn)
+}
+
+// loop forwards one packet per work item at softint IPL.
+// Uniprocessor only (loopSMP is the locked variant).
+//
+//lkvet:requires boot
+func (n *netisr) loop() {
+	r := n.u.r
+	if r.ipintrq.Empty() {
+		n.scheduled = false
+		return
+	}
+	cost := n.u.fwdPktCost()
+	if head := r.ipintrq.Peek(); head != nil && r.screend == nil &&
+		r.fastPathHit(head.Data) {
+		cost -= r.Cfg.Costs.FastPathSavings
+	}
+	n.cost = cost
+	n.task.Post(cost, n.forwardFn)
+}
+
+// forward is ip_input for the packet at the head of ipintrq.
+//
+//lkvet:requires boot
+func (n *netisr) forward() {
+	r := n.u.r
+	if p := r.ipintrq.Dequeue(); p != nil {
+		r.invest(p, prov.CenterIPInput, n.cost)
+		r.observe(prov.StageSoftIPInput, p)
+		n.u.deliverIP(p)
+	}
+	n.loop()
 }
 
 // deliverIP is the IP layer: locally-addressed packets go to the
 // socket/ICMP machinery; with screend configured, transit packets are
 // queued to the screening process; otherwise they are forwarded
-// directly. On SMP this runs inside softLoopSMP's netLock section.
+// directly. On SMP this runs inside the netisr's netLock section.
 //
 //lkvet:requires netLock
 func (u *unmodifiedPath) deliverIP(p *netstack.Packet) {
@@ -255,20 +308,22 @@ func (u *unmodifiedPath) deliverIP(p *netstack.Packet) {
 	u.r.forwardFrame(p)
 }
 
-// txLoop reclaims one transmit descriptor per work item at device IPL.
-// Uniprocessor only (txLoopSMP is the locked variant).
+// loop reclaims one transmit descriptor per work item at device IPL.
+// Uniprocessor only (loopSMP is the locked variant).
 //
 //lkvet:requires boot
-func (u *unmodifiedPath) txLoop(port *netPort) {
-	if !port.nic.ReclaimTx() {
-		port.nic.TxIntrDone()
+func (h *txHandler) loop() {
+	if !h.port.nic.ReclaimTx() {
+		h.port.nic.TxIntrDone()
 		return
 	}
-	//lkvet:requires boot
-	port.txTask.Post(u.r.Cfg.Costs.TxDevicePerPkt, func() {
-		u.r.ifStart(port)
-		u.txLoop(port)
-	})
+	h.port.txTask.Post(h.u.r.Cfg.Costs.TxDevicePerPkt, h.reclaimFn)
+}
+
+//lkvet:requires boot
+func (h *txHandler) reclaim() {
+	h.u.r.ifStart(h.port)
+	h.loop()
 }
 
 // The SMP variants below split each per-packet cost into an unlocked
@@ -276,107 +331,107 @@ func (u *unmodifiedPath) txLoop(port *netPort) {
 // unchanged from the uniprocessor path — what an N-core run adds is
 // only spin time on the shared queues, charged to prov.CenterLock.
 
-// rxLoopSMP is rxLoop for one steered rx queue: the ipintrq enqueue
-// happens under r.ipqLock, and the netisr raised is the one on this
-// handler's own core.
-func (u *unmodifiedPath) rxLoopSMP(in *nic.NIC, q int, task *cpu.Task, core int) {
-	p := in.TakeRxQueue(q)
+// loopSMP is loop for one steered rx queue: the ipintrq enqueue happens
+// under r.ipqLock, and the netisr raised is the one on this handler's
+// own core.
+func (h *rxHandler) loopSMP() {
+	p := h.in.TakeRxQueue(h.q)
 	if p == nil {
-		in.RxQueueIntrDone(q)
+		h.in.RxQueueIntrDone(h.q)
 		return
 	}
-	c := u.r.Cfg.Costs
-	body := u.rxPktCost() - c.LockOp
-	if body < 0 {
-		body = 0
-	}
-	task.Post(body, func() {
-		u.r.invest(p, prov.CenterRxIntr, body)
-		u.r.tapMonitor(p)
-	})
-	task.PostLocked(u.r.ipqLock, c.LockOp, prov.CenterRxIntr, func() {
-		u.r.ld.Check(u.r.ipintrq)
-		u.r.invest(p, prov.CenterRxIntr, c.LockOp)
-		if u.r.ipintrq.Enqueue(p) {
-			u.r.observe(prov.StageIPIntrQEnqueue, p)
-			u.schedNetisrOn(core)
-		} else {
-			u.r.drop(p, prov.ReasonIPIntrQFull)
-			p.Release()
-		}
-		if u.r.Cfg.DisableBatching {
-			in.RxQueueIntrDone(q)
-			return
-		}
-		u.rxLoopSMP(in, q, task, core)
-	})
+	c := h.u.r.Cfg.Costs
+	h.p, h.cost = p, max(h.u.rxPktCost()-c.LockOp, 0)
+	h.task.Post(h.cost, h.tapFn)
+	h.task.PostLocked(h.u.r.ipqLock, c.LockOp, prov.CenterRxIntr, h.enqueueFn)
 }
 
-// schedNetisrOn raises core's network software interrupt if it is not
-// already pending there.
-func (u *unmodifiedPath) schedNetisrOn(core int) {
-	if u.softSched[core] {
+// tapSMP is the unlocked body of the device work.
+func (h *rxHandler) tapSMP() {
+	h.u.r.invest(h.p, prov.CenterRxIntr, h.cost)
+	h.u.r.tapMonitor(h.p)
+}
+
+//lkvet:requires ipqLock
+func (h *rxHandler) enqueueSMP() {
+	r, p := h.u.r, h.p
+	h.p = nil
+	r.ld.Check(r.ipintrq)
+	r.invest(p, prov.CenterRxIntr, r.Cfg.Costs.LockOp)
+	if r.ipintrq.Enqueue(p) {
+		r.observe(prov.StageIPIntrQEnqueue, p)
+		h.isr.schedule()
+	} else {
+		r.drop(p, prov.ReasonIPIntrQFull)
+		p.Release()
+	}
+	if r.Cfg.DisableBatching {
+		h.in.RxQueueIntrDone(h.q)
 		return
 	}
-	u.softSched[core] = true
-	u.softints[core].Post(u.r.Cfg.Costs.SoftintDispatch, u.softRun[core])
+	h.loopSMP()
 }
 
-// softLoopSMP forwards one packet per round on core's netisr: dequeue
+// loopSMP forwards one packet per round on its core's netisr: dequeue
 // under ipqLock (another core may have drained the queue since this
 // round was scheduled), the forwarding body unlocked, then the
 // output-side work under netLock.
-func (u *unmodifiedPath) softLoopSMP(core int) {
-	r := u.r
+func (n *netisr) loopSMP() {
+	r := n.u.r
 	//lkvet:allow lockguard racy emptiness peek; a stale result only costs one idle reschedule round
 	if r.ipintrq.Empty() {
-		u.softSched[core] = false
+		n.scheduled = false
 		return
 	}
 	c := r.Cfg.Costs
-	t := u.softints[core]
-	body := u.fwdPktCost() - 2*c.LockOp
-	if body < 0 {
-		body = 0
-	}
-	var p *netstack.Packet
-	t.PostLocked(r.ipqLock, c.LockOp, prov.CenterIPInput, func() {
-		r.ld.Check(r.ipintrq)
-		p = r.ipintrq.Dequeue()
-		if p != nil {
-			r.invest(p, prov.CenterIPInput, c.LockOp)
-		}
-	})
-	t.Post(body, func() {
-		if p != nil {
-			r.invest(p, prov.CenterIPInput, body)
-		}
-	})
-	t.PostLocked(r.netLock, c.LockOp, prov.CenterIPInput, func() {
-		if p != nil {
-			r.invest(p, prov.CenterIPInput, c.LockOp)
-			r.observe(prov.StageSoftIPInput, p)
-			u.deliverIP(p)
-		}
-		u.softLoopSMP(core)
-	})
+	n.cost = max(n.u.fwdPktCost()-2*c.LockOp, 0)
+	n.task.PostLocked(r.ipqLock, c.LockOp, prov.CenterIPInput, n.dequeueFn)
+	n.task.Post(n.cost, n.bodyFn)
+	n.task.PostLocked(r.netLock, c.LockOp, prov.CenterIPInput, n.deliverFn)
 }
 
-// txLoopSMP is txLoop with the ifStart refill under netLock (the output
+//lkvet:requires ipqLock
+func (n *netisr) dequeueSMP() {
+	r := n.u.r
+	r.ld.Check(r.ipintrq)
+	n.p = r.ipintrq.Dequeue()
+	if n.p != nil {
+		r.invest(n.p, prov.CenterIPInput, r.Cfg.Costs.LockOp)
+	}
+}
+
+func (n *netisr) bodySMP() {
+	if n.p != nil {
+		n.u.r.invest(n.p, prov.CenterIPInput, n.cost)
+	}
+}
+
+//lkvet:requires netLock
+func (n *netisr) deliverSMP() {
+	r, p := n.u.r, n.p
+	n.p = nil
+	if p != nil {
+		r.invest(p, prov.CenterIPInput, r.Cfg.Costs.LockOp)
+		r.observe(prov.StageSoftIPInput, p)
+		n.u.deliverIP(p)
+	}
+	n.loopSMP()
+}
+
+// loopSMP is loop with the ifStart refill under netLock (the output
 // ifqueue is shared with every core's netisr).
-func (u *unmodifiedPath) txLoopSMP(port *netPort) {
-	if !port.nic.ReclaimTx() {
-		port.nic.TxIntrDone()
+func (h *txHandler) loopSMP() {
+	if !h.port.nic.ReclaimTx() {
+		h.port.nic.TxIntrDone()
 		return
 	}
-	c := u.r.Cfg.Costs
-	body := c.TxDevicePerPkt - c.LockOp
-	if body < 0 {
-		body = 0
-	}
-	port.txTask.Post(body, nil)
-	port.txTask.PostLocked(u.r.netLock, c.LockOp, prov.CenterTxIntr, func() {
-		u.r.ifStart(port)
-		u.txLoopSMP(port)
-	})
+	c := h.u.r.Cfg.Costs
+	h.port.txTask.Post(max(c.TxDevicePerPkt-c.LockOp, 0), nil)
+	h.port.txTask.PostLocked(h.u.r.netLock, c.LockOp, prov.CenterTxIntr, h.reclaimFn)
+}
+
+//lkvet:requires netLock
+func (h *txHandler) reclaimSMP() {
+	h.u.r.ifStart(h.port)
+	h.loopSMP()
 }

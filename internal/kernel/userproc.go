@@ -13,8 +13,9 @@ import (
 // the process remains preemptible at the granularity a real scheduler
 // quantum would provide.
 type userProc struct {
-	r    *Router
-	task *cpu.Task
+	r      *Router
+	task   *cpu.Task
+	spinFn func() // spin, bound once
 }
 
 // userSlice is the spin-slice length; small enough that measurement
@@ -25,10 +26,11 @@ func newUserProc(r *Router) *userProc {
 	u := &userProc{r: r}
 	u.task = r.CPU.NewTask("spinner", cpu.IPLThread, 1, cpu.ClassUser)
 	u.task.SetCenter(prov.CenterUserProc)
+	u.spinFn = u.spin
 	u.spin()
 	return u
 }
 
 func (u *userProc) spin() {
-	u.task.Post(userSlice, u.spin)
+	u.task.Post(userSlice, u.spinFn)
 }

@@ -68,8 +68,11 @@ type NIC struct {
 	// completed (awaiting reclaim) <= cfg.TxRing. Ownership of a frame
 	// passes to the wire when transmission finishes (the receiver gets
 	// "the copy on the wire"); reclaiming afterwards frees only the
-	// descriptor.
-	txQueue     []*netstack.Packet
+	// descriptor. Queued frames wait in txRing, a fixed circular buffer
+	// of TxRing slots starting at txHead.
+	txRing      []*netstack.Packet
+	txHead      int
+	txQueued    int
 	txCompleted int
 	txInFlight  int
 	txEnabled   bool
@@ -151,6 +154,7 @@ func New(eng *sim.Engine, name string, mac netstack.MAC, cfg Config, wire *Wire)
 	} else {
 		n.rxq = make([]rxQueue, queues)
 	}
+	n.txRing = make([]*netstack.Packet, cfg.TxRing)
 	for i := range n.rxq {
 		n.rxq[i].ring = make([]*netstack.Packet, cfg.RxRing)
 		if n.coalesce.Policy != CoalesceImmediate {
@@ -464,7 +468,7 @@ func (n *NIC) SetTxInterrupt(fn func()) { n.onTxIntr = fn }
 
 // TxDescriptorsFree returns the number of unused transmit descriptors.
 func (n *NIC) TxDescriptorsFree() int {
-	return n.cfg.TxRing - len(n.txQueue) - n.txInFlight - n.txCompleted
+	return n.cfg.TxRing - n.txQueued - n.txInFlight - n.txCompleted
 }
 
 // StartTx hands a frame to the hardware for transmission. It returns
@@ -474,20 +478,23 @@ func (n *NIC) StartTx(p *netstack.Packet) bool {
 	if n.TxDescriptorsFree() == 0 {
 		return false
 	}
-	n.txQueue = append(n.txQueue, p)
+	n.txRing[(n.txHead+n.txQueued)%len(n.txRing)] = p
+	n.txQueued++
 	n.kickTx()
 	return true
 }
 
 func (n *NIC) kickTx() {
-	if n.txInFlight > 0 || len(n.txQueue) == 0 {
+	if n.txInFlight > 0 || n.txQueued == 0 {
 		return
 	}
 	if n.wire == nil {
 		panic("nic: transmit on interface without a wire")
 	}
-	p := n.txQueue[0]
-	n.txQueue = n.txQueue[1:]
+	p := n.txRing[n.txHead]
+	n.txRing[n.txHead] = nil
+	n.txHead = (n.txHead + 1) % len(n.txRing)
+	n.txQueued--
 	n.txInFlight++
 	done := n.wire.Transmit(p)
 	// Closure-free: one completion event per transmitted frame.
@@ -518,7 +525,7 @@ func (n *NIC) TxCompletedLen() int { return n.txCompleted }
 
 // TxQueuedLen returns how many frames occupy descriptors awaiting their
 // turn on the wire.
-func (n *NIC) TxQueuedLen() int { return len(n.txQueue) }
+func (n *NIC) TxQueuedLen() int { return n.txQueued }
 
 // TxInFlight returns how many frames are currently being transmitted.
 func (n *NIC) TxInFlight() int { return n.txInFlight }
@@ -558,7 +565,7 @@ func (n *NIC) TxPending() bool { return n.txPending }
 //
 //lkvet:requires boot
 func (n *NIC) Quiesced() bool {
-	return n.RxLen() == 0 && len(n.txQueue) == 0 && n.txInFlight == 0 && n.txCompleted == 0
+	return n.RxLen() == 0 && n.txQueued == 0 && n.txInFlight == 0 && n.txCompleted == 0
 }
 
 // Drain releases every packet held in the rings and returns how many
@@ -571,11 +578,12 @@ func (n *NIC) Drain() int {
 		p.Release()
 		count++
 	}
-	for _, p := range n.txQueue {
-		p.Release()
+	for ; n.txQueued > 0; n.txQueued-- {
+		n.txRing[n.txHead].Release()
+		n.txRing[n.txHead] = nil
+		n.txHead = (n.txHead + 1) % len(n.txRing)
 		count++
 	}
-	n.txQueue = nil
 	n.txCompleted = 0
 	return count
 }
