@@ -351,6 +351,31 @@ func BenchmarkEngineEventsCall(b *testing.B) {
 	eng.Run(sim.Time(int64(b.N+1) * 1000))
 }
 
+// BenchmarkEngineCancelRearm measures the retransmit-timer shape of a
+// TCP transfer: 14 live events, 13 of them short self-rearming timers
+// (wire deliveries, NIC and CPU work) and one 50 ms RTO. Each op fires
+// the next short timer, as a data segment or ACK arrives, then cancels
+// the RTO and re-arms it 50 ms out, as the sender does on every ACK.
+func BenchmarkEngineCancelRearm(b *testing.B) {
+	eng := sim.NewEngine()
+	var tick sim.Callback
+	tick = func(a, _ any) {
+		a.(*sim.Engine).AfterCall(13*sim.Microsecond, tick, a, nil)
+	}
+	for i := 0; i < 13; i++ {
+		eng.AfterCall(sim.Duration(i+1)*sim.Microsecond, tick, eng, nil)
+	}
+	rto := func(a, _ any) { panic("RTO fired") }
+	h := eng.AfterCall(50*sim.Millisecond, rto, nil, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+		eng.Cancel(h)
+		h = eng.AfterCall(50*sim.Millisecond, rto, nil, nil)
+	}
+}
+
 // BenchmarkQueueOps measures one enqueue+dequeue through a bounded FIFO
 // with live watermark hysteresis, per op pair.
 func BenchmarkQueueOps(b *testing.B) {
@@ -425,6 +450,37 @@ func BenchmarkChecksum(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		netstack.Checksum(buf)
+	}
+}
+
+// BenchmarkTCPChecksum measures receive-side verification of one
+// 512-byte-MSS data segment: the pseudo-header plus 532 bytes of
+// header and payload, the sum every TCP segment pays twice.
+func BenchmarkTCPChecksum(b *testing.B) {
+	payload := make([]byte, 512)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	spec := &netstack.TCPSpec{
+		SrcIP: netstack.AddrFrom(10, 0, 0, 1), DstIP: netstack.AddrFrom(10, 1, 0, 9),
+		SrcPort: 1234, DstPort: 8080, Seq: 1, Ack: 1, Flags: netstack.TCPAck,
+		Window: 8192, Payload: payload,
+	}
+	frame := make([]byte, spec.FrameLen())
+	if _, err := netstack.BuildTCPFrame(frame, spec); err != nil {
+		b.Fatal(err)
+	}
+	seg := frame[netstack.EthHeaderLen+netstack.IPv4HeaderLen:]
+	if !netstack.VerifyTCPChecksum(spec.SrcIP, spec.DstIP, seg) {
+		b.Fatal("built segment fails verification")
+	}
+	b.SetBytes(int64(len(seg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !netstack.VerifyTCPChecksum(spec.SrcIP, spec.DstIP, seg) {
+			b.Fatal("checksum mismatch")
+		}
 	}
 }
 

@@ -33,12 +33,13 @@ import (
 )
 
 // defaultBenchRegexp selects the substrate microbenchmarks: fast enough
-// to run -count times in CI, and together covering the event engine,
-// the scheduling path, the packet FIFOs, the buffer pool, the sampler,
+// to run -count times in CI, and together covering the event engine
+// (firing and timer cancel/re-arm), the scheduling path, the TCP
+// checksum, the packet FIFOs, the buffer pool, the sampler,
 // router construction, and one full simulated second of router
 // operation.
-const defaultBenchRegexp = "^(BenchmarkEngineEvents|BenchmarkEngineEventsCall|" +
-	"BenchmarkCPUDispatch|BenchmarkQueueOps|BenchmarkPoolGetPut|" +
+const defaultBenchRegexp = "^(BenchmarkEngineEvents|BenchmarkEngineEventsCall|BenchmarkEngineCancelRearm|" +
+	"BenchmarkCPUDispatch|BenchmarkQueueOps|BenchmarkPoolGetPut|BenchmarkTCPChecksum|" +
 	"BenchmarkSamplerTick|BenchmarkNewRouter|BenchmarkSimulatedSecond|BenchmarkSimulatedSecondProfiled|" +
 	"BenchmarkSimulatedSecondSMP4|BenchmarkSimulatedSecondCoalesceSACK)$"
 

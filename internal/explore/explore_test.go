@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,6 +55,25 @@ func TestExploreRegressions(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/counts/builtins.json from this run")
+
+// exploreCounts is the part of a Report that pins a scenario's event
+// structure: any change to what events a kernel schedules, or in what
+// order, moves at least one of these numbers.
+type exploreCounts struct {
+	Executions   int    `json:"executions"`
+	Events       uint64 `json:"events"`
+	Sites        uint64 `json:"choice_sites"`
+	MaxDepth     int    `json:"max_depth"`
+	UniqueStates int    `json:"unique_states"`
+	DedupPrunes  int    `json:"dedup_prunes"`
+}
+
+// countsGolden holds the committed exploreCounts of every built-in
+// scenario. It sits in a subdirectory so TestExploreRegressions, which
+// replays testdata/*.json as counterexamples, does not pick it up.
+var countsGolden = filepath.Join("testdata", "counts", "builtins.json")
+
 // TestExploreExhaustsBuiltins proves the headline property: every
 // built-in scenario's bounded schedule space is fully enumerated and
 // every reachable state satisfies every invariant. intrloss alone
@@ -61,10 +82,28 @@ func TestExploreRegressions(t *testing.T) {
 // cycle limiter; coalesce adds interrupt-coalescing races, adversarial
 // reordering, and a TCP transfer; lockorder runs a two-core kernel
 // with screend under the armed lock-discipline checker.
+//
+// Each scenario's counts must also equal the committed ones, so a
+// change that alters the event structure fails here rather than in a
+// by-hand diff of lkexplore output. After an intentional change,
+// regenerate them with
+//
+//	go test ./internal/explore -run ExhaustsBuiltins -update
 func TestExploreExhaustsBuiltins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full enumeration in short mode")
 	}
+	want := map[string]exploreCounts{}
+	if !*update {
+		data, err := os.ReadFile(countsGolden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("%s: %v", countsGolden, err)
+		}
+	}
+	got := map[string]exploreCounts{}
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -82,7 +121,32 @@ func TestExploreExhaustsBuiltins(t *testing.T) {
 			if rep.Executions < 2 {
 				t.Fatalf("only %d execution(s): the scenario has no concurrency to explore", rep.Executions)
 			}
+			c := exploreCounts{
+				Executions: rep.Executions, Events: rep.Events, Sites: rep.Sites,
+				MaxDepth: rep.MaxDepth, UniqueStates: rep.UniqueStates, DedupPrunes: rep.DedupPrunes,
+			}
+			got[sc.Name] = c
+			if *update {
+				return
+			}
+			if w, ok := want[sc.Name]; !ok {
+				t.Fatalf("no pinned counts in %s; regenerate with -update", countsGolden)
+			} else if c != w {
+				t.Fatalf("counts changed: the event structure moved\n got  %+v\n want %+v", c, w)
+			}
 		})
+	}
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(countsGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(countsGolden, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package netstack
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -104,5 +107,56 @@ func TestChecksumUpdate16AllZeroDualZero(t *testing.T) {
 	}
 	if inc := ChecksumUpdate16(full, 0, 0); inc != 0x0000 {
 		t.Fatalf("ChecksumUpdate16(0xffff, 0, 0) = %#04x, want 0x0000", inc)
+	}
+}
+
+// refSumBytes is the original two-bytes-per-iteration sum, kept as the
+// reference the word-at-a-time sumBytes must agree with.
+func refSumBytes(sum uint32, b []byte) uint32 {
+	n := len(b)
+	for i := 0; i+1 < n; i += 2 {
+		sum += uint32(b[i])<<8 | uint32(b[i+1])
+	}
+	if n%2 == 1 {
+		sum += uint32(b[n-1]) << 8
+	}
+	return sum
+}
+
+// checkSumMatchesRef fails unless sumBytes and refSumBytes fold to the
+// same 16-bit value and are zero on exactly the same inputs.
+func checkSumMatchesRef(t testing.TB, label string, sum uint32, b []byte) {
+	t.Helper()
+	got, want := sumBytes(sum, b), refSumBytes(sum, b)
+	if foldChecksum(got) != foldChecksum(want) || (got == 0) != (want == 0) {
+		t.Fatalf("%s, len %d, start sum %#x: sumBytes=%#x (fold %#04x), reference %#x (fold %#04x)",
+			label, len(b), sum, got, foldChecksum(got), want, foldChecksum(want))
+	}
+}
+
+// TestSumBytesMatchesPairwise compares the word-at-a-time sum with the
+// pairwise reference over every length up to a full Ethernet payload
+// and beyond, at every start offset within a word (so sub-slices are
+// unaligned), on all-zero, all-0xff and random contents, from zero and
+// non-zero starting sums.
+func TestSumBytesMatchesPairwise(t *testing.T) {
+	const maxLen, maxOff = 1600, 7
+	rng := rand.New(rand.NewSource(1))
+	random := make([]byte, maxLen+maxOff)
+	rng.Read(random)
+	buffers := map[string][]byte{
+		"zero":   make([]byte, maxLen+maxOff),
+		"ones":   bytes.Repeat([]byte{0xff}, maxLen+maxOff),
+		"random": random,
+	}
+	for name, buf := range buffers {
+		for _, start := range []uint32{0, 1, 0xffff, 0x1fffe, 0xdead} {
+			for off := 0; off <= maxOff; off++ {
+				label := fmt.Sprintf("%s buffer at offset %d", name, off)
+				for n := 0; n <= maxLen; n++ {
+					checkSumMatchesRef(t, label, start, buf[off:off+n])
+				}
+			}
+		}
 	}
 }

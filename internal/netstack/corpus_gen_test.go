@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,6 +43,12 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		"FuzzICMPParse": {
 			"echo-request":  seedEchoFrame(),
 			"time-exceeded": seedICMPErrorFrame(),
+		},
+		"FuzzChecksum": {
+			"rfc1071-vector":  {0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7},
+			"tcp-mss-segment": seedMSSSegment(),
+			"odd-all-ones":    bytes.Repeat([]byte{0xff}, 37),
+			"all-zero":        make([]byte, 40),
 		},
 		"FuzzFragReassembly": {
 			"in-order-datagram": seedFragSequence(),

@@ -1,12 +1,12 @@
 package sim
 
-// Differential test: the pooled 4-ary lazy-cancellation engine is
-// checked against a retained copy of the original implementation (a
-// binary heap of per-event allocations with eager cancellation). Both
-// engines execute the same seeded random schedule/cancel/reschedule
-// scripts — including same-instant ties and cancel-while-pending — and
-// must produce the identical firing order and identical Fired/Pending
-// counts at every run boundary.
+// Differential test: the pooled 4-ary engine is checked against a
+// retained copy of the original implementation (a binary heap of
+// per-event allocations). Both engines execute the same seeded random
+// schedule/cancel/reschedule scripts — including same-instant ties and
+// cancel-while-pending — and must produce the identical firing order
+// and identical Fired/Pending counts at every run boundary. After
+// every script op the pooled engine's heap index is checked too.
 
 import (
 	"fmt"
@@ -222,9 +222,28 @@ func childSpec(id int) (child int, delay Duration, ok bool) {
 	return id + 1_000_000, Duration((id*37)%97 + 1), true
 }
 
+// checkHeapIndex fails unless every queued Event records its own heap
+// slot, the heap is ordered by (when, seq), and Pending counts exactly
+// the heap's nodes.
+func checkHeapIndex(t testing.TB, e *Engine) {
+	t.Helper()
+	for i, n := range e.heap {
+		if n.ev.index != i {
+			t.Fatalf("heap slot %d holds an Event recording slot %d", i, n.ev.index)
+		}
+		if i > 0 && nodeBefore(n, e.heap[(i-1)/4]) {
+			t.Fatalf("heap slot %d (when %v, seq %d) sorts before its parent", i, n.when, n.seq)
+		}
+	}
+	if e.Pending() != len(e.heap) {
+		t.Fatalf("Pending = %d, heap holds %d nodes", e.Pending(), len(e.heap))
+	}
+}
+
 // runNew executes script on the pooled engine, returning the firing
-// order and (fired, pending) observed after every advance.
-func runNew(script []op) (order []int, marks [][2]uint64) {
+// order and (fired, pending) observed after every advance. It checks
+// the heap index after every op.
+func runNew(t testing.TB, script []op) (order []int, marks [][2]uint64) {
 	eng := NewEngine()
 	handles := map[int]Handle{}
 	var fire Callback
@@ -248,8 +267,10 @@ func runNew(script []op) (order []int, marks [][2]uint64) {
 			eng.Run(eng.Now().Add(o.delay))
 			marks = append(marks, [2]uint64{eng.Fired(), uint64(eng.Pending())})
 		}
+		checkHeapIndex(t, eng)
 	}
 	eng.Run(eng.Now().Add(Duration(1 << 32))) // drain
+	checkHeapIndex(t, eng)
 	marks = append(marks, [2]uint64{eng.Fired(), uint64(eng.Pending())})
 	return order, marks
 }
@@ -290,7 +311,7 @@ func TestEngineDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		script := genScript(rng, 400)
-		gotOrder, gotMarks := runNew(script)
+		gotOrder, gotMarks := runNew(t, script)
 		wantOrder, wantMarks := runRef(script)
 
 		if len(gotOrder) != len(wantOrder) {
@@ -336,7 +357,7 @@ func TestEngineDifferentialSameInstantResched(t *testing.T) {
 		{kind: opSchedule, id: 2, delay: 5},            // tied with 18 at t=5
 		{kind: opAdvance, delay: 10},
 	}
-	gotOrder, gotMarks := runNew(script)
+	gotOrder, gotMarks := runNew(t, script)
 	wantOrder, wantMarks := runRef(script)
 	if len(gotOrder) != len(wantOrder) {
 		t.Fatalf("fired %d events, reference fired %d: %v vs %v",
@@ -370,11 +391,10 @@ func TestEngineDifferentialSameInstantResched(t *testing.T) {
 	}
 }
 
-// TestEngineDifferentialCancelStorm drives the cancel-heavy pattern the
-// lazy-cancellation compactor exists for: most scheduled events are
-// cancelled before firing, at far-future deadlines, interleaved with
-// live near-term work. The pooled engine must still agree with the
-// reference exactly.
+// TestEngineDifferentialCancelStorm drives the cancel-heavy RTO
+// pattern: most scheduled events are cancelled before firing, at
+// far-future deadlines, interleaved with live near-term work. The
+// pooled engine must still agree with the reference exactly.
 func TestEngineDifferentialCancelStorm(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -390,7 +410,7 @@ func TestEngineDifferentialCancelStorm(t *testing.T) {
 				script = append(script, op{kind: opAdvance, delay: Duration(rng.Intn(200))})
 			}
 		}
-		gotOrder, gotMarks := runNew(script)
+		gotOrder, gotMarks := runNew(t, script)
 		wantOrder, wantMarks := runRef(script)
 		if len(gotOrder) != len(wantOrder) {
 			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(gotOrder), len(wantOrder))

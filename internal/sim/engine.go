@@ -10,18 +10,18 @@ import "fmt"
 type Callback func(a, b any)
 
 // Event is a pooled scheduler entry. Events are owned by the engine's
-// free list and recycled the moment they fire or their cancelled heap
-// node is collected; user code never holds an *Event directly — it
-// holds a generation-checked Handle, which stays safe (Pending reports
-// false, Cancel is a no-op) even after the underlying Event has been
-// reused for a later scheduling.
+// free list and recycled the moment they fire or are cancelled; user
+// code never holds an *Event directly — it holds a generation-checked
+// Handle, which stays safe (Pending reports false, Cancel is a no-op)
+// even after the underlying Event has been reused for a later
+// scheduling.
 type Event struct {
-	when    Time
-	gen     uint64 // bumped on every recycle; Handles pin the value
-	pending bool   // true while queued; false once fired or cancelled
-	fn      Callback
-	a, b    any
-	next    *Event // free-list link
+	when  Time
+	gen   uint64 // bumped on every recycle; Handles pin the value
+	index int    // heap slot while queued, kept current by every sift
+	fn    Callback
+	a, b  any
+	next  *Event // free-list link
 }
 
 // Handle identifies a scheduled event. The zero Handle is valid and
@@ -33,10 +33,10 @@ type Handle struct {
 }
 
 // Pending reports whether the event is still queued (not yet fired and
-// not cancelled). A handle whose event has been recycled for a newer
-// scheduling reports false.
+// not cancelled). Firing and cancelling both recycle the Event, so a
+// handle is pending exactly while its generation is current.
 func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen && h.ev.pending
+	return h.ev != nil && h.ev.gen == h.gen
 }
 
 // When returns the instant the event is scheduled to fire, or zero if
@@ -82,7 +82,8 @@ type Tie struct {
 // TieBreaker chooses which of the tied same-instant events fires next,
 // returning an index into ties. Returning 0 reproduces the engine's
 // default FIFO order. The ties slice is reused between calls and must
-// not be retained. Installed only by schedule-exploration harnesses;
+// not be retained, and the TieBreaker must not schedule or cancel
+// events. Installed only by schedule-exploration harnesses;
 // normal runs leave it nil and pay nothing beyond one nil check per
 // fired event.
 type TieBreaker func(now Time, ties []Tie) int
@@ -92,21 +93,18 @@ type TieBreaker func(now Time, ties []Tie) int
 //
 // The scheduler hot path is allocation-free at steady state: Events are
 // recycled through a free list, the priority queue is a 4-ary heap of
-// inline (when, seq) keys, and cancellation is lazy — a cancelled
-// event's heap node is skipped (and its Event recycled) when it
-// surfaces at the root, or reclaimed wholesale by an occasional
-// compaction when cancellations pile up. None of this changes
-// observable order: events fire strictly by (when, seq), with seq
-// assigned in scheduling order, exactly as the original eager binary
-// heap fired them.
+// inline (when, seq) keys, and cancellation is eager — each Event
+// records its heap slot, so Cancel removes the node in O(log n) and
+// recycles the Event at once, and the heap holds only live events.
+// None of this changes observable order: events fire strictly by
+// (when, seq), with seq assigned in scheduling order, exactly as the
+// original binary heap fired them.
 type Engine struct {
 	now     Time
 	heap    []heapNode
 	seq     uint64
 	stopped bool
 	fired   uint64
-	live    int    // queued events that have not been cancelled
-	dead    int    // cancelled events still occupying heap nodes
 	free    *Event // recycled Events ready for reuse
 
 	tie     TieBreaker
@@ -170,12 +168,10 @@ func (e *Engine) AtCall(t Time, fn Callback, a, b any) Handle {
 		ev = &Event{}
 	}
 	ev.when = t
-	ev.pending = true
 	ev.fn = fn
 	ev.a, ev.b = a, b
 	e.heapPush(heapNode{when: t, seq: e.seq, ev: ev})
 	e.seq++
-	e.live++
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -187,19 +183,15 @@ func (e *Engine) AfterCall(d Duration, fn Callback, a, b any) Handle {
 
 // Cancel removes a pending event. Cancelling a fired, already-cancelled
 // or zero handle is a no-op, so callers can unconditionally cancel
-// stored handles. Cancellation is lazy: the heap node stays queued and
-// is discarded when it reaches the root (or at the next compaction),
-// which keeps Cancel O(1) without any sift work.
+// stored handles. The event's heap node is removed at once, by its
+// recorded slot, and the Event goes straight back to the free list.
 func (e *Engine) Cancel(h Handle) {
 	ev := h.ev
-	if ev == nil || ev.gen != h.gen || !ev.pending {
+	if ev == nil || ev.gen != h.gen {
 		return
 	}
-	ev.pending = false
-	ev.fn, ev.a, ev.b = nil, nil, nil
-	e.live--
-	e.dead++
-	e.maybeCompact()
+	e.heapRemove(ev.index)
+	e.recycle(ev)
 }
 
 // fire recycles ev and runs its callback. The Event returns to the free
@@ -208,8 +200,6 @@ func (e *Engine) Cancel(h Handle) {
 // simulation cycles a single Event per timer chain.
 func (e *Engine) fire(ev *Event) {
 	fn, a, b := ev.fn, ev.a, ev.b
-	ev.pending = false
-	e.live--
 	e.recycle(ev)
 	e.fired++
 	fn(a, b)
@@ -224,26 +214,16 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = ev
 }
 
-// collectRoot discards the cancelled event at the heap root.
-func (e *Engine) collectRoot() {
-	n := e.heapPop()
-	e.dead--
-	e.recycle(n.ev)
-}
-
 // breakTie gathers every pending event tied at first's instant and lets
 // the installed TieBreaker choose which fires; the others are pushed
 // back with their original (when, seq) keys, so their relative FIFO
-// order is preserved for the next tie decision. Cancelled nodes
-// surfacing inside the tie set are collected, never offered.
+// order is preserved for the next tie decision. While the TieBreaker
+// runs, the tied nodes sit in tieBuf rather than the heap; Pending
+// counts them there.
 func (e *Engine) breakTie(first heapNode) heapNode {
 	when := first.when
 	e.tieBuf = append(e.tieBuf[:0], first)
 	for len(e.heap) > 0 && e.heap[0].when == when {
-		if !e.heap[0].ev.pending {
-			e.collectRoot()
-			continue
-		}
 		e.tieBuf = append(e.tieBuf, e.heapPop())
 	}
 	chosen := first
@@ -269,26 +249,23 @@ func (e *Engine) breakTie(first heapNode) heapNode {
 	for i := range e.tieBuf {
 		e.tieBuf[i] = heapNode{}
 	}
+	e.tieBuf = e.tieBuf[:0]
 	return chosen
 }
 
 // Step fires the next pending event. It reports false if no events
 // remain.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		if !e.heap[0].ev.pending {
-			e.collectRoot()
-			continue
-		}
-		n := e.heapPop()
-		if e.tie != nil {
-			n = e.breakTie(n)
-		}
-		e.now = n.when
-		e.fire(n.ev)
-		return true
+	if len(e.heap) == 0 {
+		return false
 	}
-	return false
+	n := e.heapPop()
+	if e.tie != nil {
+		n = e.breakTie(n)
+	}
+	e.now = n.when
+	e.fire(n.ev)
+	return true
 }
 
 // Run fires events in order until the clock would pass `until`, then sets
@@ -301,15 +278,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run(until Time) uint64 {
 	start := e.fired
 	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 {
-		root := &e.heap[0]
-		if !root.ev.pending {
-			e.collectRoot()
-			continue
-		}
-		if root.when > until {
-			break
-		}
+	for !e.stopped && len(e.heap) > 0 && e.heap[0].when <= until {
 		n := e.heapPop()
 		if e.tie != nil {
 			n = e.breakTie(n)
@@ -329,9 +298,9 @@ func (e *Engine) RunFor(d Duration) uint64 { return e.Run(e.now.Add(d)) }
 // Stop makes the innermost Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending returns the number of queued events, excluding cancelled ones
-// whose heap nodes have not been collected yet.
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of queued events: the heap, plus any tied
+// events a TieBreaker is currently choosing among.
+func (e *Engine) Pending() int { return len(e.heap) + len(e.tieBuf) }
 
 // VisitPending calls visit for every pending (not fired, not cancelled)
 // event, in unspecified order. Exploration harnesses use this to
@@ -341,9 +310,7 @@ func (e *Engine) Pending() int { return e.live }
 func (e *Engine) VisitPending(visit func(when Time, fn Callback, a, b any)) {
 	for i := range e.heap {
 		ev := e.heap[i].ev
-		if ev.pending {
-			visit(ev.when, ev.fn, ev.a, ev.b)
-		}
+		visit(ev.when, ev.fn, ev.a, ev.b)
 	}
 }
 
@@ -353,35 +320,53 @@ func (e *Engine) VisitPending(visit func(when Time, fn Callback, a, b any)) {
 // more comparisons per level for far fewer cache lines touched per
 // sift; with 24-byte inline nodes, four children share two cache lines.
 // Sifts move the hole rather than swapping, so each level costs one
-// copy instead of three.
+// copy instead of three, plus one store of the slot into the moved
+// node's Event.
 
 func (e *Engine) heapPush(n heapNode) {
 	e.heap = append(e.heap, n)
-	i := len(e.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !nodeBefore(n, e.heap[parent]) {
-			break
-		}
-		e.heap[i] = e.heap[parent]
-		i = parent
-	}
-	e.heap[i] = n
+	e.siftUp(len(e.heap)-1, n)
 }
 
 // heapPop removes and returns the root. The caller must ensure the heap
 // is non-empty.
-func (e *Engine) heapPop() heapNode {
+func (e *Engine) heapPop() heapNode { return e.heapRemove(0) }
+
+// heapRemove removes and returns the node at slot i, refilling the
+// hole with the last node and sifting that node whichever way restores
+// the heap order.
+func (e *Engine) heapRemove(i int) heapNode {
 	h := e.heap
-	root := h[0]
+	removed := h[i]
 	last := len(h) - 1
 	n := h[last]
 	h[last] = heapNode{}
 	e.heap = h[:last]
-	if last > 0 {
-		e.siftDown(0, n)
+	if i < last {
+		if i > 0 && nodeBefore(n, h[(i-1)/4]) {
+			e.siftUp(i, n)
+		} else {
+			e.siftDown(i, n)
+		}
 	}
-	return root
+	return removed
+}
+
+// siftUp places n at slot i or above, moving larger parents down into
+// the hole as it climbs.
+func (e *Engine) siftUp(i int, n heapNode) {
+	h := e.heap
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !nodeBefore(n, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].ev.index = i
+		i = parent
+	}
+	h[i] = n
+	n.ev.index = i
 }
 
 // siftDown places n into the subtree rooted at i, moving smaller
@@ -408,37 +393,9 @@ func (e *Engine) siftDown(i int, n heapNode) {
 			break
 		}
 		h[i] = h[best]
+		h[i].ev.index = i
 		i = best
 	}
 	h[i] = n
-}
-
-// maybeCompact rebuilds the heap without its cancelled nodes once they
-// outnumber the live ones (beyond a small floor, so tiny heaps never
-// bother). Cancel-heavy workloads — a retransmit timer cancelled on
-// every ACK, say — would otherwise accumulate dead nodes until their
-// distant deadlines surfaced. Compaction only removes nodes that can
-// never fire, and heapify preserves the (when, seq) pop order, so
-// firing order is untouched.
-func (e *Engine) maybeCompact() {
-	if e.dead <= 64 || e.dead <= len(e.heap)/2 {
-		return
-	}
-	h := e.heap
-	kept := h[:0]
-	for _, n := range h {
-		if n.ev.pending {
-			kept = append(kept, n)
-		} else {
-			e.recycle(n.ev)
-		}
-	}
-	for i := len(kept); i < len(h); i++ {
-		h[i] = heapNode{}
-	}
-	e.heap = kept
-	e.dead = 0
-	for i := (len(kept) - 2) / 4; i >= 0; i-- {
-		e.siftDown(i, e.heap[i])
-	}
+	n.ev.index = i
 }

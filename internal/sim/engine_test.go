@@ -262,7 +262,8 @@ func TestEngineStopMidBatch(t *testing.T) {
 // TestEngineLazyCancelRecycling exercises the interaction between the
 // free-list pool and generation-checked handles: a handle kept across
 // its event's recycling must go inert rather than cancel the Event's
-// next occupant.
+// next occupant. TestEngineCancelledHandleGoesInert covers the same
+// for an Event recycled by Cancel rather than by firing.
 func TestEngineLazyCancelRecycling(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -285,9 +286,10 @@ func TestEngineLazyCancelRecycling(t *testing.T) {
 	}
 }
 
-// TestEngineCancelHeavyCompaction drives the lazy-cancellation path
-// through its compaction threshold: thousands of schedule/cancel pairs
-// with far-future deadlines must not change what actually fires.
+// TestEngineCancelHeavyCompaction drives the RTO-shaped cancel storm:
+// thousands of schedule/cancel pairs with far-future deadlines must not
+// change what actually fires, and the cancelled nodes must leave the
+// heap at once rather than linger until their deadlines.
 func TestEngineCancelHeavyCompaction(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -296,12 +298,68 @@ func TestEngineCancelHeavyCompaction(t *testing.T) {
 		e.At(Time(i+1), func() { fired++ })
 		e.Cancel(h)
 	}
-	if e.Pending() != 5000 {
-		t.Fatalf("Pending = %d, want 5000 live events", e.Pending())
+	if e.Pending() != 5000 || len(e.heap) != 5000 {
+		t.Fatalf("Pending = %d, heap holds %d nodes; want 5000 of each", e.Pending(), len(e.heap))
 	}
 	e.Run(10_000)
 	if fired != 5000 {
 		t.Fatalf("fired = %d, want 5000", fired)
+	}
+}
+
+// TestEngineCancelledHandleGoesInert checks that Cancel recycles the
+// Event at once: the handle stops reporting Pending, the next schedule
+// reuses the same Event, and Cancel on the old handle leaves that new
+// occupant alone.
+func TestEngineCancelledHandleGoesInert(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	h1 := e.At(10, func() { t.Error("cancelled event fired") })
+	e.Cancel(h1)
+	if h1.Pending() || h1.When() != 0 {
+		t.Fatalf("cancelled handle: pending=%v when=%v, want inert", h1.Pending(), h1.When())
+	}
+	h2 := e.At(20, func() { fired++ })
+	if h2.ev != h1.ev {
+		t.Fatal("schedule after Cancel did not reuse the cancelled Event")
+	}
+	e.Cancel(h1)
+	if !h2.Pending() || e.Pending() != 1 {
+		t.Fatalf("stale Cancel touched the reused Event: pending=%v, engine pending %d", h2.Pending(), e.Pending())
+	}
+	e.Run(30)
+	if fired != 1 {
+		t.Fatalf("fired = %d, want 1", fired)
+	}
+}
+
+// TestCancelEveryPendingEvent empties the heap through Cancel alone, at
+// more than 64 events (a lazy-cancellation compactor once panicked
+// there). The engine must then be empty and stay usable.
+func TestCancelEveryPendingEvent(t *testing.T) {
+	for _, n := range []int{65, 200} {
+		e := NewEngine()
+		handles := make([]Handle, n)
+		for i := range handles {
+			handles[i] = e.At(Time(10+i), func() { t.Errorf("n=%d: cancelled event fired", n) })
+		}
+		for _, h := range handles {
+			e.Cancel(h)
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("n=%d: Pending = %d after cancelling everything, want 0", n, e.Pending())
+		}
+		if e.Step() {
+			t.Fatalf("n=%d: Step fired an event after everything was cancelled", n)
+		}
+		fired := 0
+		for i := 0; i < n; i++ {
+			e.At(Time(10+i), func() { fired++ })
+		}
+		e.Run(Time(10 + n))
+		if fired != n || e.Pending() != 0 {
+			t.Fatalf("n=%d: %d of %d rescheduled events fired, %d still pending", n, fired, n, e.Pending())
+		}
 	}
 }
 
