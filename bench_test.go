@@ -376,6 +376,35 @@ func BenchmarkEngineCancelRearm(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineDepth measures one fire-and-rearm at a fixed queue
+// depth: `pending` self-rearming timers, each re-armed with a seeded
+// uniform random delay, so every insert lands at a random slot. The
+// sorted deque's insert costs O(pending) here, where a heap's costs
+// O(log pending); the sub-benchmarks show how deep the queue must get
+// before that matters. Simulator runs stay shallow (DESIGN.md §6), so
+// this is a bound on the design, not a gated row: lkbench does not run
+// it.
+func BenchmarkEngineDepth(b *testing.B) {
+	for _, pending := range []int{4, 16, 64, 256, 1024} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			eng := sim.NewEngine()
+			rng := sim.NewRNG(1)
+			var tick sim.Callback
+			tick = func(_, _ any) {
+				eng.AfterCall(sim.Duration(1+rng.Intn(100_000)), tick, nil, nil)
+			}
+			for i := 0; i < pending; i++ {
+				tick(nil, nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Step()
+			}
+		})
+	}
+}
+
 // BenchmarkQueueOps measures one enqueue+dequeue through a bounded FIFO
 // with live watermark hysteresis, per op pair.
 func BenchmarkQueueOps(b *testing.B) {

@@ -183,11 +183,7 @@ func (t *Task) PostCenter(cost sim.Duration, center prov.Center, fn func()) {
 		panic("cpu: invalid cost center")
 	}
 	t.items = append(t.items, workItem{cost: cost, center: center, fn: fn})
-	c := t.cpu
-	if !t.ready && t != c.cur {
-		c.markReady(t)
-	}
-	c.reschedule()
+	t.cpu.wake(t)
 }
 
 // PostLocked queues a critical-section item guarded by l: when the item
@@ -215,10 +211,7 @@ func (t *Task) PostLocked(l *FairLock, cost sim.Duration, center prov.Center, fn
 		// simulator's nested acquisition: feed the lock-order graph.
 		c.ld.posted(l)
 	}
-	if !t.ready && t != c.cur {
-		c.markReady(t)
-	}
-	c.reschedule()
+	c.wake(t)
 }
 
 func (t *Task) popItem() workItem {
@@ -535,6 +528,42 @@ func (c *CPU) charge(t *Task, center prov.Center, d sim.Duration) {
 	c.classTime[t.class] += d
 	c.centerTime[center] += d
 	c.busy += d
+}
+
+// wake makes t, which has just been posted work, runnable and
+// dispatches or preempts if that is now due. It rests on an invariant
+// every other path maintains: while a task runs with interrupts
+// enabled, no ready task is higher than it. Any step that could break
+// it — completing an item, re-enabling interrupts — ends in a full
+// reschedule, and task priorities never change. So a busy CPU only
+// needs to compare t with the running task, never to rescan the ready
+// list. An idle CPU (which includes the commit fn of a just-completed
+// item) takes the full reschedule: work posted there must be
+// dispatched inside the post, because that fixes where its completion
+// event falls among same-instant events.
+func (c *CPU) wake(t *Task) {
+	if c.cur == nil {
+		if !t.ready {
+			c.markReady(t)
+		}
+		c.reschedule()
+		return
+	}
+	if t.ready || t == c.cur {
+		return
+	}
+	if !c.intEnabled || !higher(t, c.cur) {
+		c.markReady(t)
+		return
+	}
+	// By the invariant t is now the best ready task, so it preempts
+	// without passing through the ready list. It still takes the
+	// sequence number markReady would give it: it keeps that number if
+	// it is preempted in turn.
+	t.readySeq = c.seq
+	c.seq++
+	c.preempt()
+	c.start(t)
 }
 
 // reschedule enforces the dispatching invariant: the CPU runs the

@@ -1,12 +1,15 @@
 package sim
 
-// Differential test: the pooled 4-ary engine is checked against a
-// retained copy of the original implementation (a binary heap of
-// per-event allocations). Both engines execute the same seeded random
-// schedule/cancel/reschedule scripts — including same-instant ties and
-// cancel-while-pending — and must produce the identical firing order
-// and identical Fired/Pending counts at every run boundary. After
-// every script op the pooled engine's heap index is checked too.
+// Differential test: the pooled sorted-deque engine is checked against
+// a retained copy of the original implementation (a binary heap of
+// per-event allocations). Both engines execute the same
+// schedule/cancel/reschedule scripts — seeded random ones, including
+// same-instant ties, cancel-while-pending, a far-future retransmit
+// timer re-armed on every op and queues more than 200 deep, plus the
+// scripts FuzzEngineDifferential decodes from fuzz input — and must
+// produce the identical firing order and identical Fired/Pending
+// counts at every run boundary. After every script op the deque's
+// layout is checked too (checkQueue).
 
 import (
 	"fmt"
@@ -171,14 +174,33 @@ type op struct {
 	delay  Duration
 }
 
+// scriptShape selects optional stress patterns for genScript.
+type scriptShape struct {
+	// rto re-arms one far-future timer on every op: the previous one is
+	// cancelled and a new one scheduled rtoDelay out, as a TCP sender
+	// does on every ACK. Its node sits at the latest end of the queue.
+	rto bool
+	// preload schedules this many events at spread-out delays before
+	// the first op, so the script runs against a deep queue.
+	preload int
+}
+
+// rtoDelay is the re-arm distance of the scriptShape.rto timer.
+const rtoDelay = 50 * Millisecond
+
 // genScript builds a random but fully pre-planned op sequence. Delays
 // are drawn from a small range with heavy mass on zero so that
 // same-instant FIFO ties are common, and cancel targets are drawn from
 // all previously used ids so that stale cancels (fired or already
 // cancelled) are exercised alongside genuine cancel-while-pending.
-func genScript(rng *rand.Rand, n int) []op {
+func genScript(rng *rand.Rand, n int, shape scriptShape) []op {
 	var script []op
 	nextID := 0
+	for i := 0; i < shape.preload; i++ {
+		script = append(script, op{kind: opSchedule, id: nextID, delay: Duration(rng.Intn(20_000))})
+		nextID++
+	}
+	rtoID := -1
 	for i := 0; i < n; i++ {
 		switch r := rng.Intn(10); {
 		case r < 4:
@@ -194,6 +216,15 @@ func genScript(rng *rand.Rand, n int) []op {
 			nextID++
 		default:
 			script = append(script, op{kind: opAdvance, delay: Duration(rng.Intn(500))})
+		}
+		if shape.rto {
+			if rtoID < 0 {
+				script = append(script, op{kind: opSchedule, id: nextID, delay: rtoDelay})
+			} else {
+				script = append(script, op{kind: opResched, target: rtoID, id: nextID, delay: rtoDelay})
+			}
+			rtoID = nextID
+			nextID++
 		}
 	}
 	return script
@@ -222,27 +253,50 @@ func childSpec(id int) (child int, delay Duration, ok bool) {
 	return id + 1_000_000, Duration((id*37)%97 + 1), true
 }
 
-// checkHeapIndex fails unless every queued Event records its own heap
-// slot, the heap is ordered by (when, seq), and Pending counts exactly
-// the heap's nodes.
-func checkHeapIndex(t testing.TB, e *Engine) {
+// checkQueue fails unless the deque's layout holds: every live node's
+// Event records the node's slot, the live region q[lo:] is strictly
+// increasing in (when, seq), every slot of the backing array outside
+// it is zero, and Pending equals the number of occupied slots.
+func checkQueue(t testing.TB, e *Engine) {
 	t.Helper()
-	for i, n := range e.heap {
-		if n.ev.index != i {
-			t.Fatalf("heap slot %d holds an Event recording slot %d", i, n.ev.index)
+	live := e.q[e.lo:]
+	for i, n := range live {
+		slot := e.lo + i
+		if n.ev == nil {
+			t.Fatalf("live slot %d holds no Event", slot)
 		}
-		if i > 0 && nodeBefore(n, e.heap[(i-1)/4]) {
-			t.Fatalf("heap slot %d (when %v, seq %d) sorts before its parent", i, n.when, n.seq)
+		if n.ev.index != slot {
+			t.Fatalf("slot %d holds an Event recording slot %d", slot, n.ev.index)
+		}
+		if n.ev.when != n.when {
+			t.Fatalf("slot %d keyed at %v holds an Event due at %v", slot, n.when, n.ev.when)
+		}
+		if i > 0 {
+			p := live[i-1]
+			if n.when < p.when || n.when == p.when && n.seq <= p.seq {
+				t.Fatalf("slot %d (when %v, seq %d) does not sort after slot %d (when %v, seq %d)",
+					slot, n.when, n.seq, slot-1, p.when, p.seq)
+			}
 		}
 	}
-	if e.Pending() != len(e.heap) {
-		t.Fatalf("Pending = %d, heap holds %d nodes", e.Pending(), len(e.heap))
+	occupied := 0
+	for i, n := range e.q[:cap(e.q)] {
+		if n != (node{}) {
+			occupied++
+			if i < e.lo || i >= len(e.q) {
+				t.Fatalf("slot %d outside the live region [%d, %d) is not zero", i, e.lo, len(e.q))
+			}
+		}
+	}
+	if e.Pending() != occupied || occupied != len(live) {
+		t.Fatalf("Pending = %d, live region holds %d nodes, %d slots occupied",
+			e.Pending(), len(live), occupied)
 	}
 }
 
 // runNew executes script on the pooled engine, returning the firing
 // order and (fired, pending) observed after every advance. It checks
-// the heap index after every op.
+// the queue layout after every op.
 func runNew(t testing.TB, script []op) (order []int, marks [][2]uint64) {
 	eng := NewEngine()
 	handles := map[int]Handle{}
@@ -267,10 +321,10 @@ func runNew(t testing.TB, script []op) (order []int, marks [][2]uint64) {
 			eng.Run(eng.Now().Add(o.delay))
 			marks = append(marks, [2]uint64{eng.Fired(), uint64(eng.Pending())})
 		}
-		checkHeapIndex(t, eng)
+		checkQueue(t, eng)
 	}
 	eng.Run(eng.Now().Add(Duration(1 << 32))) // drain
-	checkHeapIndex(t, eng)
+	checkQueue(t, eng)
 	marks = append(marks, [2]uint64{eng.Fired(), uint64(eng.Pending())})
 	return order, marks
 }
@@ -310,30 +364,111 @@ func runRef(script []op) (order []int, marks [][2]uint64) {
 func TestEngineDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		script := genScript(rng, 400)
-		gotOrder, gotMarks := runNew(t, script)
-		wantOrder, wantMarks := runRef(script)
+		script := genScript(rng, 400, scriptShape{})
+		compareWithRef(t, fmt.Sprintf("seed %d", seed), script)
+	}
+}
 
-		if len(gotOrder) != len(wantOrder) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d",
-				seed, len(gotOrder), len(wantOrder))
-		}
-		for i := range gotOrder {
-			if gotOrder[i] != wantOrder[i] {
-				t.Fatalf("seed %d: firing order diverges at position %d: got id %d, reference id %d",
-					seed, i, gotOrder[i], wantOrder[i])
-			}
-		}
-		if len(gotMarks) != len(wantMarks) {
-			t.Fatalf("seed %d: %d advance marks vs reference %d", seed, len(gotMarks), len(wantMarks))
-		}
-		for i := range gotMarks {
-			if gotMarks[i] != wantMarks[i] {
-				t.Fatalf("seed %d: (fired, pending) at mark %d = %v, reference %v",
-					seed, i, gotMarks[i], wantMarks[i])
+// TestEngineDifferentialShapes runs the differential against the two
+// stress shapes: a far-future timer re-armed on every op, which keeps
+// a node at the latest end and drives both shift directions, and a
+// queue preloaded past 200 events, which drives long shifts and gap
+// reclamation. Both together make the deep queue's latest end churn.
+func TestEngineDifferentialShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		shape scriptShape
+	}{
+		{"rto", scriptShape{rto: true}},
+		{"deep", scriptShape{preload: 250}},
+		{"deep+rto", scriptShape{rto: true, preload: 250}},
+	} {
+		name, shape := tc.name, tc.shape
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			script := genScript(rng, 400, shape)
+			_, marks := compareWithRef(t, fmt.Sprintf("%s seed %d", name, seed), script)
+			if shape.preload > 0 && marks[0][1] <= 200 {
+				t.Fatalf("%s seed %d: %d pending at the first advance, want a queue deeper than 200",
+					name, seed, marks[0][1])
 			}
 		}
 	}
+}
+
+// compareWithRef runs script on both engines and fails, labelled with
+// label, unless the firing order and every (fired, pending) mark agree.
+// It returns the pooled engine's results.
+func compareWithRef(t testing.TB, label string, script []op) (order []int, marks [][2]uint64) {
+	t.Helper()
+	gotOrder, gotMarks := runNew(t, script)
+	wantOrder, wantMarks := runRef(script)
+	if len(gotOrder) != len(wantOrder) {
+		t.Fatalf("%s: fired %d events, reference fired %d", label, len(gotOrder), len(wantOrder))
+	}
+	for i := range gotOrder {
+		if gotOrder[i] != wantOrder[i] {
+			t.Fatalf("%s: firing order diverges at position %d: got id %d, reference id %d",
+				label, i, gotOrder[i], wantOrder[i])
+		}
+	}
+	if len(gotMarks) != len(wantMarks) {
+		t.Fatalf("%s: %d advance marks vs reference %d", label, len(gotMarks), len(wantMarks))
+	}
+	for i := range gotMarks {
+		if gotMarks[i] != wantMarks[i] {
+			t.Fatalf("%s: (fired, pending) at mark %d = %v, reference %v",
+				label, i, gotMarks[i], wantMarks[i])
+		}
+	}
+	return gotOrder, gotMarks
+}
+
+// FuzzEngineDifferential decodes the fuzz input into an op script (see
+// decodeScript) and runs it through compareWithRef.
+func FuzzEngineDifferential(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 4, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		compareWithRef(t, "fuzz", decodeScript(data))
+	})
+}
+
+// decodeScript turns fuzz bytes into an op script, three bytes per op:
+// the first picks the kind, the second a cancel target (counted back
+// from the newest id, so recent and likely still pending events are
+// hit most) or an advance distance, the third a delay. Delay bytes of
+// 0xf0 and up schedule rtoDelay out, the far-future retransmit shape;
+// the rest are short, with 0 a same-instant tie.
+func decodeScript(data []byte) []op {
+	const maxOps = 1024
+	var script []op
+	nextID := 0
+	for len(data) >= 3 && len(script) < maxOps {
+		k, x, y := data[0], data[1], data[2]
+		data = data[3:]
+		delay := Duration(y % 64)
+		if y >= 0xf0 {
+			delay = rtoDelay + Duration(y)
+		}
+		switch k % 5 {
+		case 0, 1:
+			script = append(script, op{kind: opSchedule, id: nextID, delay: delay})
+			nextID++
+		case 2:
+			if nextID > 0 {
+				script = append(script, op{kind: opCancel, target: nextID - 1 - int(x)%nextID})
+			}
+		case 3:
+			if nextID > 0 {
+				script = append(script, op{kind: opResched, target: nextID - 1 - int(x)%nextID,
+					id: nextID, delay: delay})
+				nextID++
+			}
+		case 4:
+			script = append(script, op{kind: opAdvance, delay: Duration(x)})
+		}
+	}
+	return script
 }
 
 // TestEngineDifferentialSameInstantResched pins the same-instant
@@ -410,21 +545,6 @@ func TestEngineDifferentialCancelStorm(t *testing.T) {
 				script = append(script, op{kind: opAdvance, delay: Duration(rng.Intn(200))})
 			}
 		}
-		gotOrder, gotMarks := runNew(t, script)
-		wantOrder, wantMarks := runRef(script)
-		if len(gotOrder) != len(wantOrder) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(gotOrder), len(wantOrder))
-		}
-		for i := range gotOrder {
-			if gotOrder[i] != wantOrder[i] {
-				t.Fatalf("seed %d: order diverges at %d: got %d, want %d", seed, i, gotOrder[i], wantOrder[i])
-			}
-		}
-		for i := range gotMarks {
-			if gotMarks[i] != wantMarks[i] {
-				t.Fatalf("seed %d: (fired, pending) at mark %d = %v, reference %v",
-					seed, i, gotMarks[i], wantMarks[i])
-			}
-		}
+		compareWithRef(t, fmt.Sprintf("seed %d", seed), script)
 	}
 }

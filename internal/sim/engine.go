@@ -18,7 +18,7 @@ type Callback func(a, b any)
 type Event struct {
 	when  Time
 	gen   uint64 // bumped on every recycle; Handles pin the value
-	index int    // heap slot while queued, kept current by every sift
+	index int    // queue slot while queued, kept current by every shift
 	fn    Callback
 	a, b  any
 	next  *Event // free-list link
@@ -48,21 +48,13 @@ func (h Handle) When() Time {
 	return h.ev.when
 }
 
-// heapNode is one entry of the event queue. The ordering key (when,
-// seq) is stored inline so sift comparisons never chase the Event
+// node is one entry of the event queue. The ordering key (when, seq)
+// is stored inline so the insertion scan never chases the Event
 // pointer.
-type heapNode struct {
+type node struct {
 	when Time
 	seq  uint64 // FIFO tie-break for events at the same instant
 	ev   *Event
-}
-
-// nodeBefore orders heap nodes by (when, seq).
-func nodeBefore(a, b heapNode) bool {
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq
 }
 
 // Tie describes one of several pending events due at the same instant,
@@ -92,24 +84,35 @@ type TieBreaker func(now Time, ties []Tie) int
 // use; a simulation is a single-threaded, deterministic computation.
 //
 // The scheduler hot path is allocation-free at steady state: Events are
-// recycled through a free list, the priority queue is a 4-ary heap of
-// inline (when, seq) keys, and cancellation is eager — each Event
-// records its heap slot, so Cancel removes the node in O(log n) and
-// recycles the Event at once, and the heap holds only live events.
-// None of this changes observable order: events fire strictly by
-// (when, seq), with seq assigned in scheduling order, exactly as the
-// original binary heap fired them.
+// recycled through a free list, and the event queue is a single slice
+// of inline (when, seq) keys kept sorted earliest first. The live
+// region is q[lo:]; the slots before lo are a gap that pops leave
+// behind. A pop takes q[lo] and advances lo, with no comparison. An
+// insert checks the front, else scans back from the latest end for its
+// slot, then shifts whichever side of the slot is shorter by one: the
+// front part down into the gap, or the tail up. CPU completions land
+// near the front and retransmit timers near the back, so both shifts
+// stay short. Each
+// Event records its slot, so Cancel removes the node at once and
+// recycles the Event. The queue is shallow in every configuration the
+// simulator runs (the widest figure peaks at about 130 pending events),
+// which is why a linear structure beats a heap here; BenchmarkEngineDepth
+// measures where that stops being true. None of this changes
+// observable order: events fire strictly by (when, seq), with seq
+// assigned in scheduling order, exactly as the original binary heap
+// fired them.
 type Engine struct {
 	now     Time
-	heap    []heapNode
+	q       []node // q[lo:] is the queue; every slot outside it is zero
+	lo      int
 	seq     uint64
 	stopped bool
 	fired   uint64
 	free    *Event // recycled Events ready for reuse
 
 	tie     TieBreaker
-	tieBuf  []heapNode // scratch: popped tied nodes, in (when, seq) order
-	tieList []Tie      // scratch: the view handed to the TieBreaker
+	tieList []Tie // scratch: the view handed to the TieBreaker
+	tied    int   // nodes at the front offered to a running TieBreaker
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -170,8 +173,46 @@ func (e *Engine) AtCall(t Time, fn Callback, a, b any) Handle {
 	ev.when = t
 	ev.fn = fn
 	ev.a, ev.b = a, b
-	e.heapPush(heapNode{when: t, seq: e.seq, ev: ev})
+	n := node{when: t, seq: e.seq, ev: ev}
 	e.seq++
+	// n carries the largest seq yet, so its slot is behind every node
+	// due no later than t. Most events land at one end — CPU
+	// completions in front of everything, timers behind — so n is first
+	// compared with the earliest node, then the slot is found by a scan
+	// back from the latest end.
+	q := e.q
+	i := len(q)
+	if i > e.lo && t < q[e.lo].when {
+		i = e.lo
+	}
+	for i > e.lo && q[i-1].when > t {
+		i--
+	}
+	// Shift the shorter side of the slot by one: the front part q[lo:i]
+	// down into the gap, or the tail q[i:] up into the free space at
+	// the back. Both loops are empty for an insert at either end.
+	if lo := e.lo; lo > 0 && i-lo <= len(q)-i {
+		for j := lo; j < i; j++ {
+			q[j-1] = q[j]
+			q[j-1].ev.index = j - 1
+		}
+		q[i-1] = n
+		ev.index = i - 1
+		e.lo = lo - 1
+		return Handle{ev: ev, gen: ev.gen}
+	}
+	if len(q) == cap(q) {
+		i -= e.lo
+		q = e.makeRoom()
+	}
+	q = q[:len(q)+1]
+	for j := len(q) - 1; j > i; j-- {
+		q[j] = q[j-1]
+		q[j].ev.index = j
+	}
+	q[i] = n
+	ev.index = i
+	e.q = q
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -183,14 +224,14 @@ func (e *Engine) AfterCall(d Duration, fn Callback, a, b any) Handle {
 
 // Cancel removes a pending event. Cancelling a fired, already-cancelled
 // or zero handle is a no-op, so callers can unconditionally cancel
-// stored handles. The event's heap node is removed at once, by its
-// recorded slot, and the Event goes straight back to the free list.
+// stored handles. The event's node is removed at once, by its recorded
+// slot, and the Event goes straight back to the free list.
 func (e *Engine) Cancel(h Handle) {
 	ev := h.ev
 	if ev == nil || ev.gen != h.gen {
 		return
 	}
-	e.heapRemove(ev.index)
+	e.remove(ev.index)
 	e.recycle(ev)
 }
 
@@ -214,54 +255,50 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = ev
 }
 
-// breakTie gathers every pending event tied at first's instant and lets
-// the installed TieBreaker choose which fires; the others are pushed
-// back with their original (when, seq) keys, so their relative FIFO
-// order is preserved for the next tie decision. While the TieBreaker
-// runs, the tied nodes sit in tieBuf rather than the heap; Pending
-// counts them there.
-func (e *Engine) breakTie(first heapNode) heapNode {
-	when := first.when
-	e.tieBuf = append(e.tieBuf[:0], first)
-	for len(e.heap) > 0 && e.heap[0].when == when {
-		e.tieBuf = append(e.tieBuf, e.heapPop())
+// breakTie lets the installed TieBreaker choose among the pending
+// events tied at the earliest instant, then removes the chosen one from
+// the queue and returns it. Tied nodes sit together at the front of the
+// sorted queue in seq order, so they are offered in place, and the
+// ones not chosen keep their (when, seq) order for the next decision.
+// The queue must be non-empty.
+func (e *Engine) breakTie() node {
+	q, lo := e.q, e.lo
+	when := q[lo].when
+	end := lo + 1
+	for end < len(q) && q[end].when == when {
+		end++
 	}
-	chosen := first
-	if len(e.tieBuf) > 1 {
+	pick := lo
+	if end-lo > 1 {
 		e.tieList = e.tieList[:0]
-		for _, n := range e.tieBuf {
+		for _, n := range q[lo:end] {
 			e.tieList = append(e.tieList, Tie{Seq: n.seq, Fn: n.ev.fn, Arg: n.ev.a})
 		}
-		pick := e.tie(when, e.tieList)
-		if pick < 0 || pick >= len(e.tieBuf) {
-			panic(fmt.Sprintf("sim: tie-breaker chose %d of %d tied events", pick, len(e.tieBuf)))
+		e.tied = end - lo
+		p := e.tie(when, e.tieList)
+		e.tied = 0
+		if p < 0 || p >= end-lo {
+			panic(fmt.Sprintf("sim: tie-breaker chose %d of %d tied events", p, end-lo))
 		}
-		chosen = e.tieBuf[pick]
-		for i, n := range e.tieBuf {
-			if i != pick {
-				e.heapPush(n)
-			}
-		}
-		for i := range e.tieList {
-			e.tieList[i] = Tie{}
-		}
+		clear(e.tieList)
+		pick += p
 	}
-	for i := range e.tieBuf {
-		e.tieBuf[i] = heapNode{}
-	}
-	e.tieBuf = e.tieBuf[:0]
-	return chosen
+	n := q[pick]
+	e.remove(pick)
+	return n
 }
 
 // Step fires the next pending event. It reports false if no events
 // remain.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	if e.lo == len(e.q) {
 		return false
 	}
-	n := e.heapPop()
+	var n node
 	if e.tie != nil {
-		n = e.breakTie(n)
+		n = e.breakTie()
+	} else {
+		n = e.pop()
 	}
 	e.now = n.when
 	e.fire(n.ev)
@@ -271,17 +308,15 @@ func (e *Engine) Step() bool {
 // Run fires events in order until the clock would pass `until`, then sets
 // the clock to exactly `until`. Events scheduled at `until` itself are
 // fired. Run returns the number of events fired.
-//
-// The loop inspects the heap root in place and pops at most once per
-// fired event: the former peek-then-pop pair (each descending the heap)
-// is now a single traversal.
 func (e *Engine) Run(until Time) uint64 {
 	start := e.fired
 	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 && e.heap[0].when <= until {
-		n := e.heapPop()
+	for !e.stopped && e.lo < len(e.q) && e.q[e.lo].when <= until {
+		var n node
 		if e.tie != nil {
-			n = e.breakTie(n)
+			n = e.breakTie()
+		} else {
+			n = e.pop()
 		}
 		e.now = n.when
 		e.fire(n.ev)
@@ -298,104 +333,80 @@ func (e *Engine) RunFor(d Duration) uint64 { return e.Run(e.now.Add(d)) }
 // Stop makes the innermost Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending returns the number of queued events: the heap, plus any tied
-// events a TieBreaker is currently choosing among.
-func (e *Engine) Pending() int { return len(e.heap) + len(e.tieBuf) }
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.q) - e.lo }
 
 // VisitPending calls visit for every pending (not fired, not cancelled)
 // event, in unspecified order. Exploration harnesses use this to
 // fingerprint the scheduler's forward-relevant state; callers needing a
 // canonical order must sort what they collect. visit must not schedule
-// or cancel events.
+// or cancel events. Called from inside a TieBreaker, it skips the tied
+// events the TieBreaker is choosing among: they are described by its
+// ties argument instead.
 func (e *Engine) VisitPending(visit func(when Time, fn Callback, a, b any)) {
-	for i := range e.heap {
-		ev := e.heap[i].ev
-		visit(ev.when, ev.fn, ev.a, ev.b)
+	for _, n := range e.q[e.lo+e.tied:] {
+		visit(n.when, n.ev.fn, n.ev.a, n.ev.b)
 	}
 }
 
-// --- 4-ary heap keyed by (when, seq) ---
+// --- sorted event deque keyed by (when, seq) ---
 //
-// A 4-ary heap halves the tree depth of a binary heap, trading slightly
-// more comparisons per level for far fewer cache lines touched per
-// sift; with 24-byte inline nodes, four children share two cache lines.
-// Sifts move the hole rather than swapping, so each level costs one
-// copy instead of three, plus one store of the slot into the moved
-// node's Event.
+// Every operation keeps three facts true: q[lo:] is strictly increasing
+// in (when, seq), each node's Event records the node's slot, and every
+// slot outside q[lo:] is zero, so no recycled Event stays reachable
+// from the queue. AtCall inserts in line and pop inlines into Run and
+// Step, so a scheduled-and-fired event makes no call into the queue
+// code unless the slice is full.
 
-func (e *Engine) heapPush(n heapNode) {
-	e.heap = append(e.heap, n)
-	e.siftUp(len(e.heap)-1, n)
+// pop removes and returns the earliest node. The queue must be
+// non-empty.
+func (e *Engine) pop() node {
+	n := e.q[e.lo]
+	e.q[e.lo] = node{}
+	e.lo++
+	return n
 }
 
-// heapPop removes and returns the root. The caller must ensure the heap
-// is non-empty.
-func (e *Engine) heapPop() heapNode { return e.heapRemove(0) }
-
-// heapRemove removes and returns the node at slot i, refilling the
-// hole with the last node and sifting that node whichever way restores
-// the heap order.
-func (e *Engine) heapRemove(i int) heapNode {
-	h := e.heap
-	removed := h[i]
-	last := len(h) - 1
-	n := h[last]
-	h[last] = heapNode{}
-	e.heap = h[:last]
-	if i < last {
-		if i > 0 && nodeBefore(n, h[(i-1)/4]) {
-			e.siftUp(i, n)
-		} else {
-			e.siftDown(i, n)
-		}
+// makeRoom frees space at the back of a full queue and returns the
+// queue, now starting at slot 0. A gap is reclaimed in place by sliding
+// the live nodes down over it; the slice grows only when there is no
+// gap, by append's own rule, so it grows exactly when the live count
+// outgrows the capacity.
+func (e *Engine) makeRoom() []node {
+	live := e.q[e.lo:]
+	var q []node
+	if e.lo > 0 {
+		q = e.q[:copy(e.q, live)]
+		clear(e.q[len(q):])
+	} else {
+		q = append(live[:len(live):len(live)], node{})[:len(live)]
 	}
-	return removed
+	for j := range q {
+		q[j].ev.index = j
+	}
+	e.q, e.lo = q, 0
+	return q
 }
 
-// siftUp places n at slot i or above, moving larger parents down into
-// the hole as it climbs.
-func (e *Engine) siftUp(i int, n heapNode) {
-	h := e.heap
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !nodeBefore(n, h[parent]) {
-			break
+// remove deletes the node at slot i, closing the hole from whichever
+// side is shorter: the front part q[lo:i] moves up, or the tail moves
+// down.
+func (e *Engine) remove(i int) {
+	q, lo := e.q, e.lo
+	if i-lo < len(q)-1-i {
+		for j := i; j > lo; j-- {
+			q[j] = q[j-1]
+			q[j].ev.index = j
 		}
-		h[i] = h[parent]
-		h[i].ev.index = i
-		i = parent
+		q[lo] = node{}
+		e.lo = lo + 1
+		return
 	}
-	h[i] = n
-	n.ev.index = i
-}
-
-// siftDown places n into the subtree rooted at i, moving smaller
-// children up into the hole as it descends.
-func (e *Engine) siftDown(i int, n heapNode) {
-	h := e.heap
-	sz := len(h)
-	for {
-		first := 4*i + 1
-		if first >= sz {
-			break
-		}
-		best := first
-		limit := first + 4
-		if limit > sz {
-			limit = sz
-		}
-		for j := first + 1; j < limit; j++ {
-			if nodeBefore(h[j], h[best]) {
-				best = j
-			}
-		}
-		if !nodeBefore(h[best], n) {
-			break
-		}
-		h[i] = h[best]
-		h[i].ev.index = i
-		i = best
+	last := len(q) - 1
+	for j := i; j < last; j++ {
+		q[j] = q[j+1]
+		q[j].ev.index = j
 	}
-	h[i] = n
-	n.ev.index = i
+	q[last] = node{}
+	e.q = q[:last]
 }
